@@ -8,9 +8,8 @@
 //! and sharded through the generic `Engine` path.
 //!
 //! Output follows the result-JSON v1 envelope (EXPERIMENTS.md
-//! "Observability"): exit code 0 on success, 2 on schema error. With a
-//! `--features obs` build, `PP_OBS` selects a recorder sink
-//! (`table`/`jsonl`/`json`).
+//! "Observability"): exit code 0 on success, 2 on schema error. `PP_OBS`
+//! selects a recorder sink (`table`/`jsonl`/`json`).
 fn main() {
     pp_bench::output::run_bin("t14_adversary", |preset| {
         pp_bench::experiments::adversary::run(preset, 1_400)

@@ -8,9 +8,8 @@
 //! blocks).
 //!
 //! Output follows the result-JSON v1 envelope (EXPERIMENTS.md
-//! "Observability"): exit code 0 on success, 2 on schema error. With a
-//! `--features obs` build, `PP_OBS` selects a recorder sink
-//! (`table`/`jsonl`/`json`).
+//! "Observability"): exit code 0 on success, 2 on schema error. `PP_OBS`
+//! selects a recorder sink (`table`/`jsonl`/`json`).
 fn main() {
     pp_bench::output::run_bin("t15_sbm_blocks", |preset| {
         pp_bench::experiments::sbm::run(preset, 1_500)

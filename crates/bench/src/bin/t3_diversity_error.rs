@@ -7,9 +7,8 @@
 //! complete-graph measurements (the default is the dense engine).
 //!
 //! Output follows the result-JSON v1 envelope (EXPERIMENTS.md
-//! "Observability"): exit code 0 on success, 2 on schema error. With a
-//! `--features obs` build, `PP_OBS` selects a recorder sink
-//! (`table`/`jsonl`/`json`).
+//! "Observability"): exit code 0 on success, 2 on schema error. `PP_OBS`
+//! selects a recorder sink (`table`/`jsonl`/`json`).
 fn main() {
     pp_bench::output::run_bin("t3_diversity_error", |preset| {
         pp_bench::experiments::diversity::run(preset, 300)

@@ -7,9 +7,8 @@
 //! measurement windows.
 //!
 //! Output follows the result-JSON v1 envelope (EXPERIMENTS.md
-//! "Observability"): exit code 0 on success, 2 on schema error. With a
-//! `--features obs` build, `PP_OBS` selects a recorder sink
-//! (`table`/`jsonl`/`json`).
+//! "Observability"): exit code 0 on success, 2 on schema error. `PP_OBS`
+//! selects a recorder sink (`table`/`jsonl`/`json`).
 fn main() {
     pp_bench::output::run_bin("throughput", |preset| {
         pp_bench::throughput::run(preset, 1600)

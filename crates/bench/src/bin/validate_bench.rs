@@ -1,11 +1,10 @@
 //! Validates `BENCH_*.json` artifacts against the result-JSON v1 schema and
-//! runs the CI regression/A-B gates, with the stable exit codes the
+//! runs the CI regression gate, with the stable exit codes the
 //! Observability contract defines (EXPERIMENTS.md):
 //!
 //! - `0` — every file validated (and every requested gate passed);
 //! - `2` — a file is unreadable, unparseable, or violates the v1 schema;
-//! - `3` — schemas are fine but a gate failed (step-rate regression or
-//!   obs-overhead A/B outside its band).
+//! - `3` — schemas are fine but the gate failed (step-rate regression).
 //!
 //! Usage:
 //!
@@ -13,9 +12,6 @@
 //! validate_bench FILE.json...
 //!     [--gate BASELINE.json FRESH.json]   # per-(n, engine) Msteps/s ratio
 //!     [--min-ratio 0.70]                  # gate threshold (fresh/baseline)
-//!     [--ab A.json B.json SUBSTR RATIO]   # rate of the row whose engine
-//!                                         # contains SUBSTR must agree
-//!                                         # within RATIO in both files
 //! ```
 //!
 //! The gate reproduces the bench-regression contract previously inlined as
@@ -167,43 +163,13 @@ fn gate(baseline_path: &str, fresh_path: &str, min_ratio: f64) -> bool {
     ok
 }
 
-/// Rate of the first row whose engine cell contains `substr`.
-fn rate_of(doc: &Value, path: &str, substr: &str) -> f64 {
-    for (key, rate) in rates(doc, path) {
-        if key.contains(substr) {
-            return rate;
-        }
-    }
-    eprintln!("schema error: `{path}` has no engine row containing `{substr}`");
-    exit(EXIT_SCHEMA_ERROR);
-}
-
-fn ab(a_path: &str, b_path: &str, substr: &str, min_ratio: f64) -> bool {
-    let a = rate_of(&load_validated(a_path), a_path, substr);
-    let b = rate_of(&load_validated(b_path), b_path, substr);
-    let ratio = if a > 0.0 && b > 0.0 {
-        (b / a).min(a / b)
-    } else {
-        0.0
-    };
-    let ok = ratio >= min_ratio;
-    println!(
-        "ab: `{substr}`: {a_path} {a:.2} vs {b_path} {b:.2} agreement {ratio:.3} (need >= \
-         {min_ratio}) {}",
-        if ok { "ok" } else { "FAILED" }
-    );
-    ok
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files: Vec<String> = Vec::new();
     let mut gate_paths: Option<(String, String)> = None;
-    let mut ab_spec: Option<(String, String, String, f64)> = None;
     let mut min_ratio = 0.70_f64;
     let mut i = 0;
-    let usage = "usage: validate_bench FILE.json... [--gate BASELINE FRESH] [--min-ratio R] \
-                 [--ab A B SUBSTR RATIO]";
+    let usage = "usage: validate_bench FILE.json... [--gate BASELINE FRESH] [--min-ratio R]";
     let arg_at = |args: &[String], i: usize| -> String {
         args.get(i).cloned().unwrap_or_else(|| {
             eprintln!("{usage}");
@@ -223,19 +189,6 @@ fn main() {
                 });
                 i += 2;
             }
-            "--ab" => {
-                let ratio: f64 = arg_at(&args, i + 4).parse().unwrap_or_else(|_| {
-                    eprintln!("{usage}");
-                    exit(EXIT_SCHEMA_ERROR);
-                });
-                ab_spec = Some((
-                    arg_at(&args, i + 1),
-                    arg_at(&args, i + 2),
-                    arg_at(&args, i + 3),
-                    ratio,
-                ));
-                i += 5;
-            }
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag `{flag}`\n{usage}");
                 exit(EXIT_SCHEMA_ERROR);
@@ -246,7 +199,7 @@ fn main() {
             }
         }
     }
-    if files.is_empty() && gate_paths.is_none() && ab_spec.is_none() {
+    if files.is_empty() && gate_paths.is_none() {
         eprintln!("{usage}");
         exit(EXIT_SCHEMA_ERROR);
     }
@@ -255,15 +208,10 @@ fn main() {
         load_validated(path);
         println!("valid: {path}");
     }
-    let mut gates_ok = true;
     if let Some((baseline, fresh)) = gate_paths {
-        gates_ok &= gate(&baseline, &fresh, min_ratio);
-    }
-    if let Some((a, b, substr, ratio)) = ab_spec {
-        gates_ok &= ab(&a, &b, &substr, ratio);
-    }
-    if !gates_ok {
-        exit(EXIT_GATE_FAILURE);
+        if !gate(&baseline, &fresh, min_ratio) {
+            exit(EXIT_GATE_FAILURE);
+        }
     }
 }
 

@@ -34,7 +34,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 pub const EXIT_OK: i32 = 0;
 /// Process exit code: the result JSON failed v1 schema validation.
 pub const EXIT_SCHEMA_ERROR: i32 = 2;
-/// Process exit code: a regression or A/B gate failed.
+/// Process exit code: a gate failed (a step-rate regression or a model-check
+/// invariant).
 pub const EXIT_GATE_FAILURE: i32 = 3;
 
 fn string_array(items: impl IntoIterator<Item = impl AsRef<str>>) -> String {

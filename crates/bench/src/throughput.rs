@@ -360,11 +360,9 @@ pub fn measure_replicate_vec(replicas: usize, steps: u64, seed: u64) -> Measurem
 }
 
 /// Measures the per-call cost of a **disabled** recorder macro: the
-/// `obs_count!` guard with no sink selected (or, without the `obs`
-/// feature, compiled out entirely — the loop collapses to nothing and the
-/// measured cost is ~0). Engine call sites are per-batch, so multiply by
-/// calls-per-step (turbo: `2 / n`) to get the per-step overhead this
-/// build pays for instrumentation it is not using.
+/// `obs_count!` guard with no sink selected. Engine call sites are
+/// per-batch, so multiply by calls-per-step (turbo: `2 / n`) to get the
+/// per-step overhead a run pays for instrumentation it is not using.
 pub fn measure_obs_probe(iters: u64) -> Measurement {
     let start = Instant::now();
     for i in 0..iters {
@@ -604,19 +602,17 @@ pub fn run(preset: Preset, seed: u64) -> Report {
     }
 
     // Part 5: the recorder-overhead probe — what the *disabled*
-    // instrumentation path costs this build. Without the `obs` feature the
-    // probe loop is compiled out (~0 ns/call); with it, one predictable
-    // branch per macro call. Either way the per-step overhead on the turbo
-    // torus row (2 calls per 10⁵-step batch) is far below the <1% target;
+    // instrumentation path costs: one predictable branch per macro call.
+    // The per-step overhead on the turbo torus row (2 calls per 10⁵-step
+    // batch) is far below the <1% target;
     // `disabled_recorder_overhead_under_one_percent` asserts it.
     {
         let iters = preset.pick(20_000_000u64, 100_000_000);
         let probe = measure_obs_probe(iters);
         let ns_per_call = probe.seconds * 1e9 / probe.steps as f64;
-        // A step rate would be degenerate here (with the `obs` feature
-        // off the probe loop compiles out and "steps"/second diverges);
-        // the honest unit is ns/call, so the rate cell stays `-` and the
-        // gates exclude this row by its engine name.
+        // A probe call is not a simulation step, so the honest unit is
+        // ns/call: the rate cell stays `-` and the gates exclude this row
+        // by its engine name.
         table.row([
             "-".to_string(),
             "obs-probe".to_string(),
@@ -640,9 +636,8 @@ pub fn run(preset: Preset, seed: u64) -> Report {
             })
             .unwrap_or_default();
         notes.push(format!(
-            "obs: feature {}, sink {}; disabled obs_count! probe {:.4} ns/call over {} calls \
+            "obs: sink {}; disabled obs_count! probe {:.4} ns/call over {} calls \
              (engine call sites are per-batch: turbo pays 2 calls per n-step batch){implied}",
-            if pp_obs::FEATURE_ENABLED { "on" } else { "off" },
             pp_obs::sink().name(),
             ns_per_call,
             probe.steps,
@@ -898,7 +893,7 @@ mod tests {
     fn scaling_ladder_makes_progress_at_every_thread_count() {
         // The Part-7 rows must complete at every P even when the machine
         // has fewer cores — run_with_threads spawns workers regardless of
-        // the pool budget. Speedup ratios are CI's job (scaling-smoke);
+        // the pool budget. Speedup ratios are the CI bench job's gate;
         // here the gate is progress plus the pinned-layout invariant.
         for threads in [1usize, 2, 8] {
             let m = measure_sharded_scaling(threads, 3, 0.02);

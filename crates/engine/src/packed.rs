@@ -306,52 +306,6 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
         }
     }
 
-    /// Runs until `pred(packed_states, step)` holds, checking every
-    /// `check_every` steps (and once before the first step), for at most
-    /// `max_steps` steps. Returns the step count at which the predicate
-    /// first held, or `None` on timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_until(
-        &mut self,
-        max_steps: u64,
-        check_every: u64,
-        mut pred: impl FnMut(&[u32], u64) -> bool,
-    ) -> Option<u64> {
-        assert!(check_every > 0, "check_every must be positive");
-        let deadline = self.step + max_steps;
-        if pred(&self.states, self.step) {
-            return Some(self.step);
-        }
-        while self.step < deadline {
-            let burst = check_every.min(deadline - self.step);
-            self.run(burst);
-            if pred(&self.states, self.step) {
-                return Some(self.step);
-            }
-        }
-        None
-    }
-
-    /// Runs `steps` time-steps, invoking `observer(step, packed_states)`
-    /// before the first step and after every `every`-th step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn run_observed(&mut self, steps: u64, every: u64, mut observer: impl FnMut(u64, &[u32])) {
-        assert!(every > 0, "observation interval must be positive");
-        observer(self.step, &self.states);
-        let deadline = self.step + steps;
-        while self.step < deadline {
-            let burst = every.min(deadline - self.step);
-            self.run(burst);
-            observer(self.step, &self.states);
-        }
-    }
-
     /// Number of agents.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -460,7 +414,7 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Protocol, Simulator};
+    use crate::{Engine, Protocol, Simulator};
     use pp_graph::{Complete, Cycle, Torus2d};
     use rand::Rng;
 
@@ -578,14 +532,12 @@ mod tests {
     fn run_until_and_observed_mirror_reference() {
         let init: Vec<u32> = (0..16).collect();
         let mut sim = PackedSimulator::new(Copy1, Complete::new(16), &init, 3);
-        let hit = sim.run_until(200_000, 16, |states, _| {
-            states.iter().all(|&s| s == states[0])
-        });
+        let hit = sim.run_until(200_000, 16, &mut |counts, _| counts.contains(&16));
         assert!(hit.is_some(), "voter consensus not reached");
 
         let mut sim = PackedSimulator::new(Copy1, Complete::new(16), &init, 3);
         let mut seen = Vec::new();
-        sim.run_observed(10, 4, |t, _| seen.push(t));
+        sim.run_observed(10, 4, &mut |t, _| seen.push(t));
         assert_eq!(seen, vec![0, 4, 8, 10]);
     }
 

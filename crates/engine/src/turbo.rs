@@ -351,52 +351,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
         self.run_batch(steps);
     }
 
-    /// Runs until `pred(states, step)` holds, checking every `check_every`
-    /// steps (and once before the first step), for at most `max_steps`
-    /// steps. Returns the step count at which the predicate first held, or
-    /// `None` on timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_until(
-        &mut self,
-        max_steps: u64,
-        check_every: u64,
-        mut pred: impl FnMut(&[W], u64) -> bool,
-    ) -> Option<u64> {
-        assert!(check_every > 0, "check_every must be positive");
-        let deadline = self.step + max_steps;
-        if pred(&self.states, self.step) {
-            return Some(self.step);
-        }
-        while self.step < deadline {
-            let burst = check_every.min(deadline - self.step);
-            self.run(burst);
-            if pred(&self.states, self.step) {
-                return Some(self.step);
-            }
-        }
-        None
-    }
-
-    /// Runs `steps` time-steps, invoking `observer(step, states)` before
-    /// the first step and after every `every`-th step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn run_observed(&mut self, steps: u64, every: u64, mut observer: impl FnMut(u64, &[W])) {
-        assert!(every > 0, "observation interval must be positive");
-        observer(self.step, &self.states);
-        let deadline = self.step + steps;
-        while self.step < deadline {
-            let burst = every.min(deadline - self.step);
-            self.run(burst);
-            observer(self.step, &self.states);
-        }
-    }
-
     /// Number of agents.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -505,6 +459,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use pp_graph::{Complete, Cycle, Torus2d};
     use rand::Rng;
 
@@ -590,9 +545,7 @@ mod tests {
     fn voter_on_complete_reaches_consensus() {
         let init: Vec<u32> = (0..32).collect();
         let mut sim = TurboSimulator::<_, _, u32>::new(Copy1, Complete::new(32), &init, 5);
-        let hit = sim.run_until(2_000_000, 64, |states, _| {
-            states.iter().all(|&s| s == states[0])
-        });
+        let hit = sim.run_until(2_000_000, 64, &mut |counts, _| counts.contains(&32));
         assert!(hit.is_some(), "voter consensus not reached");
     }
 
@@ -600,7 +553,7 @@ mod tests {
     fn max_of_two_floods_maximum() {
         let init: Vec<u32> = (0..48).collect();
         let mut sim = TurboSimulator::<_, _, u32>::new(MaxOfTwo, Torus2d::new(6, 8), &init, 2);
-        let hit = sim.run_until(1_000_000, 48, |states, _| states.iter().all(|&s| s == 47));
+        let hit = sim.run_until(1_000_000, 48, &mut |counts, _| counts.get(47) == Some(&48));
         assert!(hit.is_some(), "maximum did not flood the torus");
     }
 
@@ -619,7 +572,7 @@ mod tests {
         assert_eq!(PackedProtocol::name(sim.protocol()), "copy");
         assert_eq!(sim.topology().len(), 3);
         let mut seen = Vec::new();
-        sim.run_observed(10, 4, |t, _| seen.push(t));
+        sim.run_observed(10, 4, &mut |t, _| seen.push(t));
         assert_eq!(seen, vec![0, 4, 8, 10]);
         assert_eq!(sim.step_count(), 10);
     }

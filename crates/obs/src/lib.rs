@@ -1,17 +1,13 @@
 //! Run-level instrumentation for the simulation engines and bench harness.
 //!
 //! The recorder is a process-wide set of **named monotonic counters**,
-//! **log2-bucketed histograms**, and **timestamped trace events**. Hot code
-//! reports through the [`obs_count!`], [`obs_value!`], and [`obs_event!`]
-//! macros, which guard every argument behind [`enabled()`]:
-//!
-//! - built **without** the `obs` cargo feature (the default), `enabled()` is
-//!   a constant `false`, the guarded block is dead code, and the macros cost
-//!   literally nothing — arguments are never evaluated;
-//! - built **with** `obs`, `enabled()` is one relaxed check of the sink
-//!   selected by the `PP_OBS` environment variable, so an instrumented build
-//!   with `PP_OBS` unset still pays only a branch per *batch* (call sites
-//!   instrument block/batch boundaries, never per-step inner loops).
+//! **log2-bucketed histograms**, and **timestamped trace events**. It is
+//! always compiled in. Hot code reports through the [`obs_count!`],
+//! [`obs_value!`], and [`obs_event!`] macros, which guard every argument
+//! behind [`enabled()`]: one read of the sink that `PP_OBS` selected,
+//! parsed once per process. With `PP_OBS` unset a call site costs that
+//! branch and nothing else, and its arguments are never evaluated; call
+//! sites instrument block/batch boundaries, never per-step inner loops.
 //!
 //! `PP_OBS` selects where recordings go (unknown values panic with the
 //! accepted list, matching the `PP_PRESET`/`PP_ENGINE` convention):
@@ -41,9 +37,6 @@ pub const HIST_BUCKETS: usize = 65;
 /// Trace events beyond this cap are counted in `dropped_events` instead of
 /// stored, so a hot loop wired to `obs_event!` by mistake cannot OOM a run.
 pub const EVENT_CAP: usize = 65_536;
-
-/// Whether this build carries the recorder (`--features obs`).
-pub const FEATURE_ENABLED: bool = cfg!(feature = "obs");
 
 /// Where recordings go, selected once per process from `PP_OBS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,70 +82,29 @@ impl Sink {
     }
 }
 
-/// The sink requested via `PP_OBS`, parsed (and validated) once per process
-/// **regardless of the `obs` feature**, so typos fail fast even in
-/// uninstrumented builds.
-pub fn requested_sink() -> Sink {
-    static REQUESTED: OnceLock<Sink> = OnceLock::new();
-    *REQUESTED.get_or_init(|| match std::env::var("PP_OBS") {
+/// The sink selected by `PP_OBS`, parsed (and validated) once per process.
+pub fn sink() -> Sink {
+    static SINK: OnceLock<Sink> = OnceLock::new();
+    *SINK.get_or_init(|| match std::env::var("PP_OBS") {
         Ok(v) => Sink::parse(&v),
         Err(_) => Sink::Off,
     })
 }
 
-/// The *active* sink: the requested one in an `obs` build, [`Sink::Off`]
-/// otherwise.
-#[cfg(feature = "obs")]
-pub fn sink() -> Sink {
-    requested_sink()
-}
-
-/// The *active* sink: the requested one in an `obs` build, [`Sink::Off`]
-/// otherwise.
-#[cfg(not(feature = "obs"))]
-#[inline(always)]
-pub fn sink() -> Sink {
-    Sink::Off
-}
-
-/// Whether the recorder is live. This is the guard the macros expand to; in
-/// a build without the `obs` feature it is a constant `false` and everything
-/// behind it is dead code.
-#[cfg(feature = "obs")]
+/// Whether the recorder is live. This is the guard the macros expand to.
 #[inline]
 pub fn enabled() -> bool {
     sink() != Sink::Off
 }
 
-/// Whether the recorder is live. This is the guard the macros expand to; in
-/// a build without the `obs` feature it is a constant `false` and everything
-/// behind it is dead code.
-#[cfg(not(feature = "obs"))]
-#[inline(always)]
-pub fn enabled() -> bool {
-    false
-}
-
-/// Validates `PP_OBS` and warns (once) when a sink is requested from a build
-/// compiled without the `obs` feature. Bench bins call this on startup so an
-/// operator asking for instrumentation finds out immediately instead of
-/// reading an empty dump.
+/// Validates `PP_OBS`. Bench bins call this on startup so a typo fails
+/// before the run instead of after it.
 ///
 /// # Panics
 ///
 /// Panics on an unknown `PP_OBS` value (see [`Sink::parse`]).
 pub fn init_from_env() {
-    let requested = requested_sink();
-    if !FEATURE_ENABLED && requested != Sink::Off {
-        static WARNED: OnceLock<()> = OnceLock::new();
-        WARNED.get_or_init(|| {
-            eprintln!(
-                "warning: PP_OBS={} requested but this binary was built without the `obs` \
-                 feature; rebuild with `--features obs` to record (the run proceeds unrecorded)",
-                requested.name()
-            );
-        });
-    }
+    sink();
 }
 
 /// Increments counter `name` by `delta` **if** the recorder is live.
@@ -266,9 +218,10 @@ fn recorder() -> &'static Recorder {
     })
 }
 
-/// Adds `delta` to the named monotonic counter. Prefer [`obs_count!`], which
-/// compiles this call out of uninstrumented builds; the function itself is
-/// always available so the recorder can be tested without the feature.
+/// Adds `delta` to the named monotonic counter, whether or not a sink is
+/// selected. Prefer [`obs_count!`], which skips the call (and the lock)
+/// when the recorder is off; this entry point is for code that already
+/// checked [`enabled()`] once for a batch of counters.
 pub fn counter_add(name: &'static str, delta: u64) {
     counter_add_dyn(name, delta);
 }
@@ -698,9 +651,7 @@ mod tests {
 
     #[test]
     fn macros_do_nothing_when_disabled() {
-        // Without the `obs` feature `enabled()` is constant false and the
-        // macro arguments must not be evaluated; with the feature but no
-        // PP_OBS sink the same holds at runtime.
+        // With no PP_OBS sink the macro arguments must not be evaluated.
         if !enabled() {
             let mut evaluated = false;
             obs_count!("test.macro_off", {

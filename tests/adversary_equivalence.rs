@@ -23,9 +23,9 @@
 //! slowly drains the never-reinjected colour — must be rejected at
 //! `p < 10⁻⁶`.
 //!
-//! `PP_EQUIV_SEEDS` (default 48) scales the ensembles; the CI
-//! `adversary-smoke` job runs 24. Keep it at 20 or above (below the
-//! harness's variance-test floor the moment checks drop out).
+//! `PP_EQUIV_SEEDS` (default 48, which `cargo test` runs) scales the
+//! ensembles. Keep it at 20 or above (below the harness's variance-test
+//! floor the moment checks drop out).
 
 use pp_adversary::{error_under_churn, recovery_time, Churn, Schedule, Shock};
 use pp_baselines::Voter;

@@ -30,10 +30,10 @@
 //!
 //! The sharded trajectories are a function of `(seed, shards, block,
 //! read mode)` only — never of thread count — so the suite is
-//! deterministic on any machine. `PP_EQUIV_SEEDS` (default 48) scales
-//! the ensemble; the CI `sharded-smoke` job runs 24. Keep it at 20 or
-//! above (below the harness's `VARIANCE_TEST_MIN_N` the variance checks
-//! are dropped and the chi-square histograms starve).
+//! deterministic on any machine. `PP_EQUIV_SEEDS` (default 48, which
+//! `cargo test` runs) scales the ensemble. Keep it at 20 or above (below
+//! the harness's `VARIANCE_TEST_MIN_N` the variance checks are dropped
+//! and the chi-square histograms starve).
 
 use pp_baselines::{AntiVoter, ThreeMajority, TwoChoices, Voter};
 use pp_core::{init, packed::config_stats_from_words, Colour, Diversification, Weights};

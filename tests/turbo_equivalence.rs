@@ -21,8 +21,8 @@
 //! the grid can grow without inflating the false-alarm rate. Seeds are
 //! fixed: the tests are deterministic.
 //!
-//! `PP_EQUIV_SEEDS` (default 48) scales the ensemble; the CI `turbo-smoke`
-//! job runs 24. Keep it at 20 or above: below the harness's
+//! `PP_EQUIV_SEEDS` (default 48, which `cargo test` runs) scales the
+//! ensemble. Keep it at 20 or above: below the harness's
 //! `VARIANCE_TEST_MIN_N` the variance checks are dropped entirely, and
 //! tiny ensembles also starve the chi-square histograms.
 

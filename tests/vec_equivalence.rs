@@ -21,8 +21,8 @@
 //!   and KS checks on summary-statistic trajectories, all under one
 //!   Bonferroni-corrected family-wise threshold.
 //!
-//! `PP_EQUIV_SEEDS` (default 48) scales the ensemble; the CI `vec-smoke`
-//! job runs a reduced count. Keep it at 20 or above: below the
+//! `PP_EQUIV_SEEDS` (default 48, which `cargo test` runs) scales the
+//! ensemble. Keep it at 20 or above: below the
 //! harness's `VARIANCE_TEST_MIN_N` the variance checks are dropped, and
 //! tiny ensembles starve the chi-square histograms.
 
