@@ -21,7 +21,7 @@ use rand::Rng;
 /// ```
 /// use pp_adversary::{recovery_time, Shock};
 /// use pp_core::{init, region::GoodSet, Colour, Diversification, Weights};
-/// use pp_engine::PackedSimulator;
+/// use pp_engine::{Engine, PackedSimulator};
 /// use pp_graph::Complete;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///

@@ -210,7 +210,7 @@ where
 mod tests {
     use super::*;
     use pp_core::{init, ConfigStats, Diversification, Weights};
-    use pp_engine::{PackedSimulator, Simulator, TurboSimulator};
+    use pp_engine::{Engine, PackedSimulator, Simulator, TurboSimulator};
     use pp_graph::{Complete, Topology};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -352,12 +352,12 @@ mod tests {
             apply(shock, &mut turbo, &mut rng_c);
             assert_eq!(
                 generic.population().states(),
-                &packed.states_unpacked()[..],
+                &packed.snapshot()[..],
                 "packed diverged after {shock:?}"
             );
             assert_eq!(
                 generic.population().states(),
-                &turbo.states_unpacked()[..],
+                &turbo.snapshot()[..],
                 "turbo diverged after {shock:?}"
             );
         }

@@ -306,7 +306,7 @@ impl PackedProtocol for AntiVoter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::{PackedSimulator, Simulator};
+    use pp_engine::{Engine, PackedSimulator, Simulator};
     use pp_graph::{Complete, Torus2d};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -448,7 +448,7 @@ mod tests {
             let mut reference = Simulator::new(protocol, topology, init, seed);
             fast.run(20_000);
             reference.run(20_000);
-            assert_eq!(fast.states_unpacked(), reference.population().states());
+            assert_eq!(fast.snapshot(), reference.population().states());
         }
         check(Voter, 4, 21);
         check(TwoChoices, 4, 22);

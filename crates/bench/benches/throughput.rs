@@ -10,7 +10,7 @@ use pp_core::{
     init, ConfigStats, DerandomisedDiversification, Diversification, IntWeights, Weights,
 };
 use pp_dense::{CountConfig, DenseSimulator};
-use pp_engine::{PackedSimulator, Protocol, Simulator};
+use pp_engine::{Engine, PackedSimulator, Protocol, Simulator};
 use pp_graph::{random_regular, Complete, Cycle, Topology, Torus2d};
 use pp_markov::{stationary_solve, IdealChain};
 

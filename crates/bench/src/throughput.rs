@@ -57,7 +57,8 @@ use pp_adversary::Churn;
 use pp_core::{init, Diversification};
 use pp_dense::{CountConfig, DenseSimulator};
 use pp_engine::{
-    pool, replicate, replicate_vec, PackedSimulator, ShardedSimulator, Simulator, TurboSimulator,
+    pool, replicate, replicate_vec, Engine, PackedSimulator, ShardedSimulator, Simulator,
+    TurboSimulator,
 };
 use pp_graph::{random_regular, Complete, Cycle, Topology, Torus2d};
 use pp_stats::{table::fmt_f64, Table};

@@ -9,7 +9,7 @@ use pp_check::{
     sustainability, BuggedDiversification, Cause,
 };
 use pp_core::{init, Diversification, Weights};
-use pp_engine::{PackedSimulator, Simulator};
+use pp_engine::{Engine, PackedSimulator, Simulator};
 use pp_graph::{Complete, Cycle};
 
 fn weights() -> Weights {
@@ -224,7 +224,7 @@ fn bugged_protocol_is_invisible_to_bit_exact_equivalence() {
         packed.run(5_000);
         assert_eq!(
             generic.population().states(),
-            &packed.states_unpacked()[..],
+            &packed.snapshot()[..],
             "tiers diverged — the bug would be statistically detectable"
         );
     }

@@ -295,7 +295,7 @@ impl PackedProtocol for Diversification {
 mod tests {
     use super::*;
     use crate::{init, Colour, Shade, Weights};
-    use pp_engine::{PackedSimulator, Protocol, Simulator};
+    use pp_engine::{Engine, PackedSimulator, Protocol, Simulator};
     use pp_graph::{Complete, Csr, Cycle, Hypercube, Star, Topology, Torus2d};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -522,7 +522,7 @@ mod tests {
                 fast.run(2_000);
                 reference.run(2_000);
                 assert_eq!(
-                    fast.states_unpacked(),
+                    fast.snapshot(),
                     reference.population().states(),
                     "diverged on {} by step {}",
                     fast.topology().name(),
@@ -558,6 +558,6 @@ mod tests {
         let mut reference = Simulator::new(Diversification::new(w), boxed, states, 5);
         fast.run(50_000);
         reference.run(50_000);
-        assert_eq!(fast.states_unpacked(), reference.population().states());
+        assert_eq!(fast.snapshot(), reference.population().states());
     }
 }

@@ -1,12 +1,15 @@
 //! The common contract of every simulation engine tier.
 //!
-//! Four fast tiers grew next to the generic [`Simulator`]
-//! — packed, turbo, sharded, and the count-based dense engine in
-//! `pp-dense` — each with its own ad-hoc driver API. Every workload that
+//! Five fast tiers grew next to the generic [`Simulator`]
+//! — packed, turbo, sharded, the lane-parallel ensemble (vec), and the
+//! count-based dense engine in `pp-dense` — each at first with its own
+//! ad-hoc driver API. Every workload that
 //! wanted to ride a faster tier (the bench experiments, the adversary
 //! suite) had to duplicate its driver loop per engine. [`Engine`] is the
 //! one contract they all implement, so a workload written once runs on
-//! whichever tier is fastest for it.
+//! whichever tier is fastest for it. For packed, turbo, sharded and vec it
+//! is also the *only* driver API: each implements it in its own module, and
+//! the types themselves add just constructors, settings and raw state views.
 //!
 //! # Observation currency: class counts
 //!
@@ -40,9 +43,10 @@
 //! # Equivalence tiers
 //!
 //! The trait unifies the *API*, not the guarantee. `Simulator` and
-//! `PackedSimulator` are bit-exact twins under a shared seed; the turbo,
-//! sharded, and dense tiers promise the same process distribution,
-//! verified by the `pp-stats` statistical-equivalence harness. See
+//! `PackedSimulator` are bit-exact twins under a shared seed, and so are
+//! turbo and a one-lane vec run; the turbo, sharded, vec (per lane) and
+//! dense tiers promise the same process distribution, verified by the
+//! `pp-stats` statistical-equivalence harness. See
 //! EXPERIMENTS.md ("The Engine trait") for the full contract table.
 //!
 //! # Examples
@@ -94,11 +98,9 @@
 //! }
 //! ```
 
+use crate::packed::MAX_PACKED_OBSERVATIONS;
 use crate::snapshot::{EngineSnapshot, SnapshotError};
-use crate::{
-    PackedProtocol, PackedSimulator, Protocol, ShardedSimulator, Simulator, TurboSimulator,
-    TurboWord, VecSimulator,
-};
+use crate::{PackedProtocol, Protocol, Simulator, TurboWord};
 use pp_graph::Topology;
 
 /// The driver contract shared by every engine tier.
@@ -308,6 +310,39 @@ pub(crate) fn resize_topology<T: Topology>(topology: &T, new_len: usize) -> T {
     })
 }
 
+/// The population invariants of the packed tiers, checked by every
+/// constructor and bulk rewrite: one agent per topology node, at least 2
+/// agents, node ids that fit the `u32` ids of the sharded queues, and a
+/// protocol arity the stack observation buffers hold.
+pub(crate) fn check_population<P: PackedProtocol>(n: usize, topology_len: usize) {
+    assert_eq!(
+        n, topology_len,
+        "population size {n} != topology size {topology_len}"
+    );
+    assert!(n >= 2, "population needs at least 2 agents");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "node ids are stored as u32; {n} agents is too many"
+    );
+    assert!(
+        (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
+        "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
+        P::OBSERVATIONS
+    );
+}
+
+/// The bulk-rewrite twin of [`check_population`]: resizes `topology` to
+/// `n` nodes when the population length changed, then checks.
+pub(crate) fn fit_population<P: PackedProtocol, T: Topology>(topology: &mut T, n: usize) {
+    // Ahead of the resize, which would reject a tiny size in the
+    // topology's own words.
+    assert!(n >= 2, "population needs at least 2 agents");
+    if n != topology.len() {
+        *topology = resize_topology(topology, n);
+    }
+    check_population::<P>(n, topology.len());
+}
+
 impl<P, T> Engine for Simulator<P, T>
 where
     P: Protocol + PackedProtocol<State = <P as Protocol>::State>,
@@ -430,7 +465,7 @@ where
 
 /// Validates the shared sequential-tier aux layout: exactly the four
 /// xoshiro256++ state words, not all zero.
-fn sequential_rng_state(snapshot: &EngineSnapshot) -> Result<[u64; 4], SnapshotError> {
+pub(crate) fn sequential_rng_state(snapshot: &EngineSnapshot) -> Result<[u64; 4], SnapshotError> {
     let aux: [u64; 4] = snapshot.aux.as_slice().try_into().map_err(|_| {
         SnapshotError::BadPayload(format!(
             "sequential tier aux must be the 4 generator words, got {}",
@@ -446,7 +481,10 @@ fn sequential_rng_state(snapshot: &EngineSnapshot) -> Result<[u64; 4], SnapshotE
 }
 
 /// Validates that the snapshot carries exactly `expected` state words.
-fn check_states_arity(snapshot: &EngineSnapshot, expected: u64) -> Result<(), SnapshotError> {
+pub(crate) fn check_states_arity(
+    snapshot: &EngineSnapshot,
+    expected: u64,
+) -> Result<(), SnapshotError> {
     if snapshot.states.len() as u64 != expected {
         return Err(SnapshotError::BadPayload(format!(
             "expected {expected} state words, got {}",
@@ -457,7 +495,9 @@ fn check_states_arity(snapshot: &EngineSnapshot, expected: u64) -> Result<(), Sn
 }
 
 /// Validates that every packed state word fits the tier's storage width.
-fn check_states_width<W: TurboWord>(snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
+pub(crate) fn check_states_width<W: TurboWord>(
+    snapshot: &EngineSnapshot,
+) -> Result<(), SnapshotError> {
     if let Some(&p) = snapshot.states.iter().find(|&&p| p > W::CAPACITY) {
         return Err(SnapshotError::BadPayload(format!(
             "state word {p} overflows the tier's storage capacity {}",
@@ -467,468 +507,10 @@ fn check_states_width<W: TurboWord>(snapshot: &EngineSnapshot) -> Result<(), Sna
     Ok(())
 }
 
-impl<P, T> Engine for PackedSimulator<P, T>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-{
-    type State = P::State;
-
-    fn len(&self) -> usize {
-        PackedSimulator::len(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        PackedSimulator::step_count(self)
-    }
-
-    fn seed(&self) -> u64 {
-        PackedSimulator::seed(self)
-    }
-
-    fn run(&mut self, steps: u64) {
-        PackedSimulator::run(self, steps);
-    }
-
-    fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states_packed().iter().copied())
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, &p) in self.states_packed().iter().enumerate() {
-            f(u, &self.protocol().unpack(p));
-        }
-    }
-
-    fn state(&self, u: usize) -> Self::State {
-        PackedSimulator::state(self, u)
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        PackedSimulator::set_state(self, u, state);
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let mut packed = self.states_packed().to_vec();
-        packed.push(self.protocol().pack(state));
-        self.replace_packed_states(packed);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        let mut packed = self.states_packed().to_vec();
-        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
-        packed.swap_remove(u);
-        self.replace_packed_states(packed);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        EngineSnapshot {
-            engine: "packed".into(),
-            protocol: self.protocol().name(),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock: PackedSimulator::step_count(self),
-            seed: PackedSimulator::seed(self),
-            states: self.states_packed().to_vec(),
-            aux: self.rng_state().to_vec(),
-        }
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "packed",
-            &self.protocol().name(),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        let rng_state = sequential_rng_state(snapshot)?;
-        check_states_arity(snapshot, snapshot.n)?;
-        self.replace_packed_states(snapshot.states.clone());
-        self.restore_raw(snapshot.clock, snapshot.seed, rng_state);
-        Ok(())
-    }
-}
-
-impl<P, T, W> Engine for TurboSimulator<P, T, W>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-    W: TurboWord,
-{
-    type State = P::State;
-
-    fn len(&self) -> usize {
-        TurboSimulator::len(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        TurboSimulator::step_count(self)
-    }
-
-    fn seed(&self) -> u64 {
-        TurboSimulator::seed(self)
-    }
-
-    fn run(&mut self, steps: u64) {
-        TurboSimulator::run(self, steps);
-    }
-
-    fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states_words().iter().map(|w| w.widen()))
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, w) in self.states_words().iter().enumerate() {
-            f(u, &self.protocol().unpack(w.widen()));
-        }
-    }
-
-    fn state(&self, u: usize) -> Self::State {
-        TurboSimulator::state(self, u)
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        TurboSimulator::set_state(self, u, state);
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let mut packed = self.states_packed();
-        packed.push(self.protocol().pack(state));
-        self.replace_packed_states(packed);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        let mut packed = self.states_packed();
-        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
-        packed.swap_remove(u);
-        self.replace_packed_states(packed);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        EngineSnapshot {
-            engine: "turbo".into(),
-            protocol: self.protocol().name(),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock: TurboSimulator::step_count(self),
-            seed: TurboSimulator::seed(self),
-            states: TurboSimulator::states_packed(self),
-            // The whole stream is keyed by (seed, step): no private words.
-            aux: Vec::new(),
-        }
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "turbo",
-            &self.protocol().name(),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        if !snapshot.aux.is_empty() {
-            return Err(SnapshotError::BadPayload(format!(
-                "turbo tier carries no aux words, got {}",
-                snapshot.aux.len()
-            )));
-        }
-        check_states_arity(snapshot, snapshot.n)?;
-        check_states_width::<W>(snapshot)?;
-        self.replace_packed_states(snapshot.states.clone());
-        self.restore_raw(snapshot.clock, snapshot.seed);
-        Ok(())
-    }
-}
-
-impl<P, T, W> Engine for ShardedSimulator<P, T, W>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-    W: TurboWord,
-{
-    type State = P::State;
-
-    fn len(&self) -> usize {
-        ShardedSimulator::len(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        ShardedSimulator::step_count(self)
-    }
-
-    fn seed(&self) -> u64 {
-        ShardedSimulator::seed(self)
-    }
-
-    fn run(&mut self, steps: u64) {
-        ShardedSimulator::run(self, steps);
-    }
-
-    fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states_packed().into_iter())
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, p) in self.states_packed().into_iter().enumerate() {
-            f(u, &self.protocol().unpack(p));
-        }
-    }
-
-    fn state(&self, u: usize) -> Self::State {
-        ShardedSimulator::state(self, u)
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        ShardedSimulator::set_state(self, u, state);
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let mut packed = self.states_packed();
-        packed.push(self.protocol().pack(state));
-        self.replace_packed_states(packed);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        let mut packed = self.states_packed();
-        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
-        packed.swap_remove(u);
-        self.replace_packed_states(packed);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        // Drain to the block boundary first: it is the tier's quiescent
-        // point (deferred cross-shard queues empty, per-shard streams
-        // re-keyed fresh per block), so `(states, clock, seed, layout)`
-        // is the complete state there — and only there.
-        let clock = self.drain_to_block_boundary();
-        EngineSnapshot {
-            engine: "sharded".into(),
-            protocol: self.protocol().name(),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock,
-            seed: ShardedSimulator::seed(self),
-            states: ShardedSimulator::states_packed(self),
-            // The layout and read mode are part of the trajectory: a
-            // restore on a machine with a different core count must not
-            // re-derive them.
-            aux: vec![
-                self.partition().shards() as u64,
-                self.block(),
-                self.read_mode().aux_word(),
-            ],
-        }
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "sharded",
-            &self.protocol().name(),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        let [shards, block, mode_word]: [u64; 3] =
-            snapshot.aux.as_slice().try_into().map_err(|_| {
-                SnapshotError::BadPayload(format!(
-                    "sharded tier aux must be [shards, block, read_mode], got {} words",
-                    snapshot.aux.len()
-                ))
-            })?;
-        if shards == 0 || shards > snapshot.n {
-            return Err(SnapshotError::BadPayload(format!(
-                "shard count {shards} out of range for {} agents",
-                snapshot.n
-            )));
-        }
-        if block == 0 || block > u32::MAX as u64 {
-            return Err(SnapshotError::BadPayload(format!(
-                "block length {block} out of range"
-            )));
-        }
-        let read_mode = crate::sharded::ReadMode::from_aux_word(mode_word).ok_or_else(|| {
-            SnapshotError::BadPayload(format!(
-                "unknown sharded read-mode code {mode_word} (expected 0 = defer, 1 = snapshot)"
-            ))
-        })?;
-        if !snapshot.clock.is_multiple_of(block) {
-            return Err(SnapshotError::BadPayload(format!(
-                "clock {} is not on the {block}-step block grid; sharded \
-                 snapshots are only taken at block boundaries",
-                snapshot.clock
-            )));
-        }
-        check_states_arity(snapshot, snapshot.n)?;
-        check_states_width::<W>(snapshot)?;
-        self.restore_raw(
-            snapshot.states.clone(),
-            snapshot.clock,
-            snapshot.seed,
-            shards as usize,
-            block,
-            read_mode,
-        );
-        Ok(())
-    }
-}
-
-/// The ensemble engine on the Engine surface: **lane 0 is the observed
-/// replica** (class counts, snapshots, per-agent reads), while structural
-/// mutations — set/replace/push/remove — apply to **every lane**, keeping
-/// the lanes exchangeable replicas of the same mutated process. Replicas
-/// re-diverge through their per-lane streams after a bulk rewrite.
-impl<P, T, W, const L: usize> Engine for VecSimulator<P, T, W, L>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-    W: TurboWord,
-{
-    type State = P::State;
-
-    fn len(&self) -> usize {
-        VecSimulator::len(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        VecSimulator::step_count(self)
-    }
-
-    fn seed(&self) -> u64 {
-        self.master_seed()
-    }
-
-    fn run(&mut self, steps: u64) {
-        VecSimulator::run(self, steps);
-    }
-
-    fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.lane_states_packed(0).into_iter())
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, p) in self.lane_states_packed(0).into_iter().enumerate() {
-            f(u, &self.protocol().unpack(p));
-        }
-    }
-
-    fn state(&self, u: usize) -> Self::State {
-        VecSimulator::state(self, u)
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        VecSimulator::set_state(self, u, state);
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let packed = self.protocol().pack(state);
-        self.push_packed_agent(packed);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        self.swap_remove_packed_agent(u);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        EngineSnapshot {
-            engine: "vec".into(),
-            protocol: self.protocol().name(),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock: VecSimulator::step_count(self),
-            seed: self.master_seed(),
-            // All lanes, lane-major: the Engine surface observes lane 0
-            // but the ensemble's state is every replica.
-            states: self.states_words().iter().map(|w| w.widen()).collect(),
-            aux: std::iter::once(L as u64)
-                .chain(self.lane_seeds().iter().copied())
-                .collect(),
-        }
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "vec",
-            &self.protocol().name(),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        if snapshot.aux.len() != 1 + L || snapshot.aux[0] != L as u64 {
-            return Err(SnapshotError::BadPayload(format!(
-                "vec tier aux must be [L, lane_seeds…] with L = {L}, got {:?}",
-                snapshot.aux.first()
-            )));
-        }
-        check_states_arity(snapshot, snapshot.n * L as u64)?;
-        check_states_width::<W>(snapshot)?;
-        let mut lane_seeds = [0u64; L];
-        lane_seeds.copy_from_slice(&snapshot.aux[1..]);
-        self.restore_raw(
-            snapshot.states.clone(),
-            snapshot.clock,
-            snapshot.seed,
-            lane_seeds,
-        );
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PackedSimulator, ShardedSimulator, TurboSimulator, VecSimulator};
     use pp_graph::{Complete, Cycle};
     use rand::Rng;
 

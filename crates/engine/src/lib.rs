@@ -23,6 +23,11 @@
 //!   batches, optional `u8` state storage ([`TurboWord`]); same process
 //!   distribution as the exact engines, verified statistically by the
 //!   `pp-stats` harness instead of draw-for-draw.
+//! * [`ShardedSimulator`] — one run split over graph-partitioned shards
+//!   that step in parallel: an exact multinomial count-split per block,
+//!   cross-shard reads deferred to a block-boundary merge or served from
+//!   a block-start snapshot ([`ReadMode`]). Turbo and sharded run the
+//!   same counter-RNG step loop, written once in a crate-private kernel.
 //! * [`VecSimulator`] — the lane-parallel ensemble engine: `L` replicas
 //!   of one `(topology, protocol)` stepped in lockstep over lane-major
 //!   SoA state, with a shared schedule walk and per-lane partner/aux
@@ -37,6 +42,11 @@
 //!   work-stealing pool.
 //! * [`rounds`] — conversions between time-steps and "parallel rounds"
 //!   (`1 round = n steps`).
+//!
+//! Every tier but the generic [`Simulator`] is driven only through the
+//! [`Engine`] trait (`run`, `state`, `set_states`, snapshots, …); the
+//! simulator types add just their constructors, layout settings and raw
+//! state views.
 //!
 //! # Examples
 //!
@@ -71,6 +81,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+mod kernel;
 pub mod packed;
 pub mod pool;
 pub mod population;
@@ -85,6 +96,7 @@ pub mod turbo;
 pub mod vec;
 
 pub use engine::Engine;
+pub use kernel::TurboWord;
 pub use packed::{PackedProtocol, PackedSimulator, MAX_PACKED_OBSERVATIONS};
 pub use population::Population;
 pub use protocol::Protocol;
@@ -93,5 +105,5 @@ pub use sharded::{ReadMode, ShardedSimulator};
 pub use simulator::Simulator;
 pub use snapshot::{EngineSnapshot, SnapshotError};
 pub use sweep::sweep_grid;
-pub use turbo::{TurboSimulator, TurboWord};
+pub use turbo::TurboSimulator;
 pub use vec::VecSimulator;

@@ -23,8 +23,11 @@
 //! the same seed produce **exactly the same trajectory** — enforced by
 //! equivalence tests in `pp-core`, `pp-baselines`, and `tests/`.
 
-use crate::turbo::TurboWord;
-use crate::Population;
+use crate::engine::{
+    check_population, check_states_arity, fit_population, sequential_rng_state, tally_packed,
+};
+use crate::snapshot::{EngineSnapshot, SnapshotError};
+use crate::{Engine, TurboWord};
 use pp_graph::Topology;
 use rand::rngs::{CounterRng, StdRng, GOLDEN};
 use rand::{RngExt, SeedableRng};
@@ -47,7 +50,7 @@ pub const MAX_PACKED_OBSERVATIONS: usize = 8;
 /// # Examples
 ///
 /// ```
-/// use pp_engine::{PackedProtocol, PackedSimulator};
+/// use pp_engine::{Engine, PackedProtocol, PackedSimulator};
 /// use pp_graph::Cycle;
 /// use rand::Rng;
 ///
@@ -224,8 +227,9 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
     /// # Panics
     ///
     /// Panics if the number of initial states does not match the topology
-    /// size, the population is smaller than 2, or `P::OBSERVATIONS` is 0 or
-    /// above [`MAX_PACKED_OBSERVATIONS`].
+    /// size, the population is smaller than 2, the topology exceeds
+    /// `u32::MAX` nodes, or `P::OBSERVATIONS` is 0 or above
+    /// [`MAX_PACKED_OBSERVATIONS`].
     pub fn new(protocol: P, topology: T, initial_states: &[P::State], seed: u64) -> Self {
         let packed = initial_states.iter().map(|s| protocol.pack(s)).collect();
         Self::from_packed(protocol, topology, packed, seed)
@@ -237,19 +241,7 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
     ///
     /// Same conditions as [`new`](Self::new).
     pub fn from_packed(protocol: P, topology: T, states: Vec<u32>, seed: u64) -> Self {
-        assert_eq!(
-            states.len(),
-            topology.len(),
-            "population size {} != topology size {}",
-            states.len(),
-            topology.len()
-        );
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
+        check_population::<P>(states.len(), topology.len());
         PackedSimulator {
             protocol,
             topology,
@@ -296,73 +288,9 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
         self.step += 1;
     }
 
-    /// Runs `steps` time-steps as one tight batch loop.
-    pub fn run(&mut self, steps: u64) {
-        // Recorded per batch, not per step: one branch per `run` call.
-        pp_obs::obs_count!("packed.steps", steps);
-        pp_obs::obs_count!("packed.batches", 1);
-        for _ in 0..steps {
-            self.step();
-        }
-    }
-
-    /// Number of agents.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Returns `true` if there are no agents (impossible by construction,
-    /// provided for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Number of time-steps executed so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// The seed this simulator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The packed states, indexed by agent id.
     pub fn states_packed(&self) -> &[u32] {
         &self.states
-    }
-
-    /// Decodes the full population into generic states.
-    pub fn states_unpacked(&self) -> Vec<P::State> {
-        self.states
-            .iter()
-            .map(|&p| self.protocol.unpack(p))
-            .collect()
-    }
-
-    /// Decodes the population into a generic-engine [`Population`], for
-    /// checkers written against the reference types.
-    pub fn population(&self) -> Population<P::State> {
-        Population::new(self.states_unpacked())
-    }
-
-    /// Decoded state of agent `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        self.protocol.unpack(self.states[u])
-    }
-
-    /// Overwrites the state of agent `u` — the hook adversarial processes
-    /// (churn, shocks) use to apply structural changes between time-steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        self.states[u] = self.protocol.pack(state);
     }
 
     /// The protocol under simulation.
@@ -375,39 +303,119 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
         &self.topology
     }
 
-    /// Replaces the whole packed population, resizing the topology (via
-    /// [`Topology::resized`]) when the length changes — the bulk-rewrite
-    /// path of the [`Engine`](crate::Engine) structural-mutation surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, or the length changed and
-    /// the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        if states.len() != self.states.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, states.len());
-        }
-        self.states = states;
-    }
-
     /// Consumes the simulator, returning the packed state vector.
     pub fn into_packed_states(self) -> Vec<u32> {
         self.states
     }
 
-    /// The sequential generator's full state, for the snapshot surface.
-    pub(crate) fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
+    /// Replaces the whole packed population, resizing the topology when
+    /// the length changes.
+    fn replace_packed(&mut self, states: Vec<u32>) {
+        fit_population::<P, T>(&mut self.topology, states.len());
+        self.states = states;
+    }
+}
+
+impl<P, T> Engine for PackedSimulator<P, T>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+{
+    type State = P::State;
+
+    fn len(&self) -> usize {
+        self.states.len()
     }
 
-    /// Rewinds the non-population resume state — clock, seed, generator
-    /// position — to a snapshot's values (see
-    /// [`Simulator::restore_raw`](crate::Simulator)).
-    pub(crate) fn restore_raw(&mut self, step: u64, seed: u64, rng_state: [u64; 4]) {
-        self.step = step;
-        self.seed = seed;
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&mut self, steps: u64) {
+        // Recorded per batch, not per step: one branch per `run` call.
+        pp_obs::obs_count!("packed.steps", steps);
+        pp_obs::obs_count!("packed.batches", 1);
+        for _ in 0..steps {
+            self.step();
+        }
+    }
+
+    fn class_counts(&self) -> Vec<u64> {
+        tally_packed(self.states.iter().copied())
+    }
+
+    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
+        for (u, &p) in self.states.iter().enumerate() {
+            f(u, &self.protocol.unpack(p));
+        }
+    }
+
+    fn state(&self, u: usize) -> Self::State {
+        self.protocol.unpack(self.states[u])
+    }
+
+    fn set_state(&mut self, u: usize, state: &Self::State) {
+        self.states[u] = self.protocol.pack(state);
+    }
+
+    fn set_states(&mut self, states: &[Self::State]) {
+        let packed = states.iter().map(|s| self.protocol.pack(s)).collect();
+        self.replace_packed(packed);
+    }
+
+    fn push_agent(&mut self, state: &Self::State) {
+        let mut packed = self.states.clone();
+        packed.push(self.protocol.pack(state));
+        self.replace_packed(packed);
+    }
+
+    fn swap_remove_agent(&mut self, u: usize) {
+        let mut packed = self.states.clone();
+        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
+        packed.swap_remove(u);
+        self.replace_packed(packed);
+    }
+
+    fn topology_name(&self) -> String {
+        self.topology.name()
+    }
+
+    fn supports_resize(&self) -> bool {
+        self.topology.resized(self.len()).is_some()
+    }
+
+    fn save_snapshot(&mut self) -> EngineSnapshot {
+        EngineSnapshot {
+            engine: "packed".into(),
+            protocol: self.protocol.name(),
+            topology: self.topology.name(),
+            n: self.len() as u64,
+            clock: self.step,
+            seed: self.seed,
+            states: self.states.clone(),
+            aux: self.rng.state().to_vec(),
+        }
+    }
+
+    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
+        snapshot.check_identity(
+            "packed",
+            &self.protocol.name(),
+            &self.topology.name(),
+            self.len() as u64,
+        )?;
+        let rng_state = sequential_rng_state(snapshot)?;
+        check_states_arity(snapshot, snapshot.n)?;
+        self.replace_packed(snapshot.states.clone());
+        self.step = snapshot.clock;
+        self.seed = snapshot.seed;
         self.rng = StdRng::from_state(rng_state);
+        Ok(())
     }
 }
 
@@ -505,7 +513,7 @@ mod tests {
             fast.run(5_000);
             reference.run(5_000);
             assert_eq!(
-                fast.states_unpacked(),
+                fast.snapshot(),
                 reference.population().states(),
                 "seed {seed}"
             );
@@ -521,7 +529,7 @@ mod tests {
             fast.run(3_000);
             reference.run(3_000);
             assert_eq!(
-                fast.states_unpacked(),
+                fast.snapshot(),
                 reference.population().states(),
                 "seed {seed}"
             );
@@ -551,7 +559,7 @@ mod tests {
         assert_eq!(sim.state(2), 7);
         sim.set_state(2, &9);
         assert_eq!(sim.states_packed()[2], 9);
-        assert_eq!(sim.population().states(), &[5, 6, 9]);
+        assert_eq!(sim.snapshot(), vec![5, 6, 9]);
         assert_eq!(PackedProtocol::name(sim.protocol()), "copy");
         assert_eq!(sim.topology().len(), 3);
         assert_eq!(sim.into_packed_states(), vec![5, 6, 9]);

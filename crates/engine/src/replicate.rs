@@ -177,7 +177,7 @@ where
                 master_seed,
                 lane_seeds,
             );
-            sim.run(steps);
+            sim.run_batch(steps);
             (0..L)
                 .zip(chunk)
                 .map(|(l, &seed)| extract(seed, &sim.lane_states_packed(l)))
@@ -195,7 +195,7 @@ where
                         master_seed,
                         [seed],
                     );
-                    sim.run(steps);
+                    sim.run_batch(steps);
                     extract(seed, &sim.lane_states_packed(0))
                 })
                 .collect()
@@ -306,7 +306,7 @@ mod tests {
             for (i, &seed) in seeds.iter().enumerate() {
                 let mut scalar =
                     crate::VecSimulator::<_, _, u8, 1>::new(Copy1, topo, &init, master, [seed]);
-                scalar.run(steps);
+                scalar.run_batch(steps);
                 assert_eq!(
                     ensemble[i],
                     (seed, scalar.lane_states_packed(0)),

@@ -84,9 +84,14 @@
 //! moves), and the boundary work (the merge, or the next block's
 //! snapshot gather) runs on the calling thread while workers wait.
 
+use crate::engine::{
+    check_population, check_states_arity, check_states_width, fit_population, tally_packed,
+};
+use crate::kernel::{run_steps, Deferred, Owner, TurboWord};
 use crate::packed::MAX_PACKED_OBSERVATIONS;
 use crate::pool;
-use crate::{PackedProtocol, Population, TurboWord};
+use crate::snapshot::{EngineSnapshot, SnapshotError};
+use crate::{Engine, PackedProtocol};
 use pp_graph::{Partition, PartitionKind, Topology};
 use rand::rngs::{CounterRng, GOLDEN};
 use std::sync::mpsc::{channel, Sender};
@@ -140,23 +145,6 @@ impl ReadMode {
     }
 }
 
-/// A cross-shard interaction awaiting the block-boundary merge
-/// (`Defer` mode only).
-#[derive(Debug, Clone, Copy)]
-struct Deferred {
-    /// Merge order: `(granted index << 32) | shard` — the round-robin
-    /// interleave of the shard sub-sequences. Unique: each shard has one
-    /// interaction per granted index.
-    key: u64,
-    /// Scheduled agent (global id).
-    agent: u32,
-    /// Observed partners (global ids); first `OBSERVATIONS` entries used.
-    partners: [u32; MAX_PACKED_OBSERVATIONS],
-    /// The step's last partner word: transition `aux` entropy, and the
-    /// parking spot of the step's fallback RNG stream.
-    entropy: u64,
-}
-
 /// One shard's state: the packed words of its members (in
 /// [`Partition::local_index`] order) plus its pending boundary queue.
 #[derive(Debug)]
@@ -198,7 +186,7 @@ type Job<'a, W> = (Arc<Segment<'a>>, Vec<ShardSlot<W>>);
 /// # Examples
 ///
 /// ```
-/// use pp_engine::{PackedProtocol, ShardedSimulator};
+/// use pp_engine::{Engine, PackedProtocol, ShardedSimulator};
 /// use pp_graph::Cycle;
 /// use rand::Rng;
 ///
@@ -290,22 +278,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     /// or any packed state overflows the storage word `W`.
     pub fn from_packed(protocol: P, topology: T, states: Vec<u32>, seed: u64) -> Self {
         let n = states.len();
-        assert_eq!(
-            n,
-            topology.len(),
-            "population size {n} != topology size {}",
-            topology.len()
-        );
-        assert!(n >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(n).is_ok(),
-            "sharded queues store node ids as u32; {n} agents is too many"
-        );
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
+        check_population::<P>(n, topology.len());
         let kind = topology.preferred_partition();
         let partition = Partition::new(n, auto_shards(n), kind);
         let mut sim = ShardedSimulator {
@@ -366,20 +339,21 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         self
     }
 
-    /// Distributes packed global states into per-shard local arrays.
+    /// Distributes packed global states into per-shard local arrays. The
+    /// shards' pending queues stay: callers that change the shard count
+    /// merge them first.
     fn scatter(&mut self, states: Vec<u32>) {
         let partition = &self.partition;
-        let mut shards: Vec<Shard<W>> = (0..partition.shards())
-            .map(|s| Shard {
-                states: Vec::with_capacity(partition.size(s)),
-                queue: Vec::new(),
-            })
+        let mut local: Vec<Vec<W>> = (0..partition.shards())
+            .map(|s| Vec::with_capacity(partition.size(s)))
             .collect();
         for (u, p) in states.into_iter().enumerate() {
-            shards[partition.shard_of(u)].states.push(W::narrow(p));
+            local[partition.shard_of(u)].push(W::narrow(p));
         }
-        self.shards = shards;
-        self.block_snap = None;
+        self.shards.resize_with(partition.shards(), Shard::default);
+        for (shard, states) in self.shards.iter_mut().zip(local) {
+            shard.states = states;
+        }
     }
 
     /// Test-and-verification hook: when enabled, every boundary
@@ -407,17 +381,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         self.split_off_by_one = enabled;
     }
 
-    /// Runs `steps` time-steps, taking worker threads from the shared
-    /// [`pool`] budget (single-threaded inline when none are free — same
-    /// trajectory either way).
-    pub fn run(&mut self, steps: u64) {
-        let want = self.partition.shards().min(pool::parallelism()) - 1;
-        let lease = pool::lease(want);
-        let threads = lease.workers() + 1;
-        self.run_with_threads(steps, threads);
-    }
-
-    /// [`run`](Self::run) with an explicit thread count, bypassing the
+    /// [`Engine::run`] with an explicit thread count, bypassing the
     /// shared pool budget — for benchmarks and for tests of the
     /// thread-count-independence contract. Capped at the shard count.
     ///
@@ -532,27 +496,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         });
     }
 
-    /// Number of agents.
-    pub fn len(&self) -> usize {
-        self.partition.len()
-    }
-
-    /// Returns `true` if there are no agents (impossible by construction,
-    /// provided for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.partition.len() == 0
-    }
-
-    /// Number of time-steps executed so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// The seed this simulator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The node partition driving shard decomposition.
     pub fn partition(&self) -> &Partition {
         &self.partition
@@ -581,76 +524,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         gather(&self.partition, &self.shards)
     }
 
-    /// Decodes the full population into generic states.
-    pub fn states_unpacked(&self) -> Vec<P::State> {
-        self.states_packed()
-            .into_iter()
-            .map(|p| self.protocol.unpack(p))
-            .collect()
-    }
-
-    /// Decodes the population into a generic-engine [`Population`], for
-    /// checkers written against the reference types.
-    pub fn population(&self) -> Population<P::State> {
-        Population::new(self.states_unpacked())
-    }
-
-    /// Decoded state of agent `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        let w = self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)];
-        self.protocol.unpack(w.widen())
-    }
-
-    /// Overwrites the state of agent `u` — the hook adversarial processes
-    /// use to apply structural changes between time-steps. Mid-block in
-    /// `Snapshot` mode the live block snapshot is patched too, so remote
-    /// readers of the rest of the block see the adversary's write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()` or the packed state overflows `W`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        let w = W::narrow(self.protocol.pack(state));
-        self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)] = w;
-        if let Some(snap) = self.block_snap.as_mut() {
-            Arc::make_mut(snap)[u] = w.widen();
-        }
-    }
-
-    /// Replaces the whole packed population, resizing the topology (via
-    /// [`Topology::resized`]) and rebuilding the shard partition when the
-    /// length changes — the bulk-rewrite path of the
-    /// [`Engine`](crate::Engine) structural-mutation surface. `O(n)`:
-    /// structural changes gather, rewrite, and re-scatter the shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, a state overflows `W`, or
-    /// the length changed and the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        let n = states.len();
-        assert!(n >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(n).is_ok(),
-            "sharded queues store node ids as u32; {n} agents is too many"
-        );
-        if n != self.partition.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, n);
-            self.partition = Partition::new(n, auto_shards(n), self.topology.preferred_partition());
-            self.block = auto_block(n);
-        }
-        // Mid-block in `Snapshot` mode the bulk rewrite replaces the live
-        // block snapshot wholesale (same visibility rule as `set_state`).
-        let snap = (self.block_snap.is_some() && n == self.partition.len())
-            .then(|| Arc::new(states.clone()));
-        self.scatter(states);
-        self.block_snap = snap;
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -661,46 +534,227 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         &self.topology
     }
 
-    /// Runs forward to the next block boundary (a no-op when already on
-    /// one) and returns the boundary clock. Between boundaries shards
-    /// hold deferred cross-shard interactions (or a live block snapshot)
-    /// that only reaching the boundary resolves; the boundary is
-    /// therefore the tier's quiescent point — the only clock at which
-    /// `(states, step, seed, layout, read mode)` is the *complete*
-    /// simulation state (the split counts re-derive from the block index
-    /// alone). The snapshot surface drains through this before capturing.
-    pub(crate) fn drain_to_block_boundary(&mut self) -> u64 {
+    /// Applies the deferred cross-shard interactions queued so far in the
+    /// current block (`Defer` mode), ahead of the boundary. A resize
+    /// renumbers agents, so the queues, which hold global ids, must be
+    /// merged before it; the merge order is the boundary merge's, so every
+    /// granted step still executes exactly once.
+    fn merge_pending(&mut self) {
+        if self.shards.iter().any(|sh| !sh.queue.is_empty()) {
+            reconcile(
+                &self.protocol,
+                &self.partition,
+                &mut self.shards,
+                self.double_count_boundary,
+            );
+        }
+    }
+
+    /// Replaces the whole packed population (global order).
+    ///
+    /// At the same length this is [`Engine::set_state`] for every agent:
+    /// the shards are rewritten in place, pending deferred interactions
+    /// stay queued, and a live block snapshot (`Snapshot` mode, mid-block)
+    /// is replaced by the new states. A new length first merges the
+    /// pending queues, resizes the topology, and re-partitions with the
+    /// same shard count (capped at the new size) and block length — the
+    /// layout is part of the trajectory, so it never re-derives from the
+    /// machine. The rest of that block runs on the new population's
+    /// count-split, so the block grants within `shards − 1` steps of `B`.
+    fn replace_packed(&mut self, states: Vec<u32>) {
+        let n = states.len();
+        if n != self.partition.len() {
+            self.merge_pending();
+            fit_population::<P, T>(&mut self.topology, n);
+            self.partition = Partition::new(
+                n,
+                self.partition.shards().min(n),
+                self.topology.preferred_partition(),
+            );
+        }
+        if let Some(snap) = self.block_snap.as_mut() {
+            *snap = Arc::new(states.clone());
+        }
+        self.scatter(states);
+    }
+
+    /// A length-changing edit of the packed population: merges pending
+    /// interactions before reading the states the edit starts from.
+    fn resize_with(&mut self, edit: impl FnOnce(&mut Vec<u32>)) {
+        self.merge_pending();
+        let mut packed = self.states_packed();
+        edit(&mut packed);
+        self.replace_packed(packed);
+    }
+}
+
+impl<P, T, W> Engine for ShardedSimulator<P, T, W>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+    W: TurboWord,
+{
+    type State = P::State;
+
+    fn len(&self) -> usize {
+        self.partition.len()
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Runs `steps` time-steps, taking worker threads from the shared
+    /// [`pool`] budget (single-threaded inline when none are free — same
+    /// trajectory either way).
+    fn run(&mut self, steps: u64) {
+        let want = self.partition.shards().min(pool::parallelism()) - 1;
+        let lease = pool::lease(want);
+        self.run_with_threads(steps, lease.workers() + 1);
+    }
+
+    fn class_counts(&self) -> Vec<u64> {
+        tally_packed(self.states_packed().into_iter())
+    }
+
+    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
+        for (u, p) in self.states_packed().into_iter().enumerate() {
+            f(u, &self.protocol.unpack(p));
+        }
+    }
+
+    fn state(&self, u: usize) -> Self::State {
+        let w = self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)];
+        self.protocol.unpack(w.widen())
+    }
+
+    /// Overwrites the state of agent `u`. Mid-block in `Snapshot` mode the
+    /// live block snapshot is patched too, so remote readers of the rest
+    /// of the block see the write.
+    fn set_state(&mut self, u: usize, state: &Self::State) {
+        let w = W::narrow(self.protocol.pack(state));
+        self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)] = w;
+        if let Some(snap) = self.block_snap.as_mut() {
+            Arc::make_mut(snap)[u] = w.widen();
+        }
+    }
+
+    fn set_states(&mut self, states: &[Self::State]) {
+        let packed = states.iter().map(|s| self.protocol.pack(s)).collect();
+        self.replace_packed(packed);
+    }
+
+    fn push_agent(&mut self, state: &Self::State) {
+        let p = self.protocol.pack(state);
+        self.resize_with(|packed| packed.push(p));
+    }
+
+    fn swap_remove_agent(&mut self, u: usize) {
+        self.resize_with(|packed| {
+            assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
+            packed.swap_remove(u);
+        });
+    }
+
+    fn topology_name(&self) -> String {
+        self.topology.name()
+    }
+
+    fn supports_resize(&self) -> bool {
+        self.topology.resized(self.len()).is_some()
+    }
+
+    fn save_snapshot(&mut self) -> EngineSnapshot {
+        // Drain to the next block boundary first. It is the tier's
+        // quiescent point: the deferred queues are empty, no block
+        // snapshot is live, and the next block's split counts and streams
+        // derive from `(seed, block index)` alone, so `(states, clock,
+        // seed, layout, read mode)` is the complete state there — and
+        // only there.
         let into_block = self.step % self.block;
         if into_block != 0 {
             self.run(self.block - into_block);
         }
-        debug_assert!(self.shards.iter().all(|s| s.queue.is_empty()));
-        debug_assert!(self.block_snap.is_none());
-        self.step
+        EngineSnapshot {
+            engine: "sharded".into(),
+            protocol: self.protocol.name(),
+            topology: self.topology.name(),
+            n: self.len() as u64,
+            clock: self.step,
+            seed: self.seed,
+            states: self.states_packed(),
+            // The layout and read mode are part of the trajectory: a
+            // restore on a machine with a different core count must not
+            // re-derive them.
+            aux: vec![
+                self.partition.shards() as u64,
+                self.block,
+                self.read_mode.aux_word(),
+            ],
+        }
     }
 
-    /// Rebuilds the full resume state from a snapshot: partition layout
-    /// (shard count, block length, and read mode are part of the
-    /// trajectory), packed states, clock, and seed. The caller has
-    /// validated that `step` is a block multiple and every state word
-    /// fits `W`. Nothing of the count-split stream needs restoring: at a
-    /// boundary the next block's counts derive from `(seed, block
-    /// index)` alone.
-    pub(crate) fn restore_raw(
-        &mut self,
-        states: Vec<u32>,
-        step: u64,
-        seed: u64,
-        shards: usize,
-        block: u64,
-        read_mode: ReadMode,
-    ) {
-        self.partition = Partition::new(states.len(), shards, self.topology.preferred_partition());
+    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
+        snapshot.check_identity(
+            "sharded",
+            &self.protocol.name(),
+            &self.topology.name(),
+            self.len() as u64,
+        )?;
+        let [shards, block, mode_word]: [u64; 3] =
+            snapshot.aux.as_slice().try_into().map_err(|_| {
+                SnapshotError::BadPayload(format!(
+                    "sharded tier aux must be [shards, block, read_mode], got {} words",
+                    snapshot.aux.len()
+                ))
+            })?;
+        if shards == 0 || shards > snapshot.n {
+            return Err(SnapshotError::BadPayload(format!(
+                "shard count {shards} out of range for {} agents",
+                snapshot.n
+            )));
+        }
+        if block == 0 || block > u32::MAX as u64 {
+            return Err(SnapshotError::BadPayload(format!(
+                "block length {block} out of range"
+            )));
+        }
+        let read_mode = ReadMode::from_aux_word(mode_word).ok_or_else(|| {
+            SnapshotError::BadPayload(format!(
+                "unknown sharded read-mode code {mode_word} (expected 0 = defer, 1 = snapshot)"
+            ))
+        })?;
+        if !snapshot.clock.is_multiple_of(block) {
+            return Err(SnapshotError::BadPayload(format!(
+                "clock {} is not on the {block}-step block grid; sharded \
+                 snapshots are only taken at block boundaries",
+                snapshot.clock
+            )));
+        }
+        check_states_arity(snapshot, snapshot.n)?;
+        check_states_width::<W>(snapshot)?;
+        // A boundary snapshot: whatever this engine had pending mid-block
+        // is discarded with the rest of its state. Nothing of the
+        // count-split needs restoring; the next block's counts derive from
+        // `(seed, block index)` alone.
+        self.partition = Partition::new(
+            snapshot.states.len(),
+            shards as usize,
+            self.topology.preferred_partition(),
+        );
         self.block = block;
         self.read_mode = read_mode;
-        self.scatter(states);
-        self.step = step;
-        self.seed = seed;
+        self.shards.clear();
+        self.block_snap = None;
+        self.scatter(snapshot.states.clone());
+        self.step = snapshot.clock;
+        self.seed = snapshot.seed;
+        Ok(())
     }
 }
 
@@ -792,8 +846,8 @@ struct Segment<'a> {
 }
 
 /// Advances shard `s` over its granted share of the block sub-range
-/// `[from, to)`: draws each granted step's agent from the shard's own
-/// members and resolves cross-shard partner reads per the read mode.
+/// `[from, to)`: works out the granted window, positions the shard's
+/// stream, runs the step kernel, and tallies the recorder counters.
 fn process_segment<P: PackedProtocol, T: Topology, W: TurboWord>(
     protocol: &P,
     topology: &T,
@@ -801,90 +855,8 @@ fn process_segment<P: PackedProtocol, T: Topology, W: TurboWord>(
     shard: &mut Shard<W>,
     seg: &Segment<'_>,
 ) {
-    // Monomorphize the hot loop over the partition layout and read mode
-    // so the per-partner ownership test and local-index map compile to
-    // two compares (contiguous), one remainder (strided), or nothing at
-    // all (single shard — the one-core fallback, which must stay within a
-    // few percent of the turbo engine).
-    if seg.partition.shards() == 1 {
-        exec_segment::<P, T, W, false, true, false>(protocol, topology, s, shard, seg)
-    } else {
-        match (seg.partition.kind(), seg.read_mode) {
-            (PartitionKind::Contiguous, ReadMode::Defer) => {
-                exec_segment::<P, T, W, false, false, false>(protocol, topology, s, shard, seg)
-            }
-            (PartitionKind::Contiguous, ReadMode::Snapshot) => {
-                exec_segment::<P, T, W, false, false, true>(protocol, topology, s, shard, seg)
-            }
-            (PartitionKind::Strided, ReadMode::Defer) => {
-                exec_segment::<P, T, W, true, false, false>(protocol, topology, s, shard, seg)
-            }
-            (PartitionKind::Strided, ReadMode::Snapshot) => {
-                exec_segment::<P, T, W, true, false, true>(protocol, topology, s, shard, seg)
-            }
-        }
-    }
-}
-
-/// The granted-step hot loop; `STRIDED`/`SINGLE`/`SNAPSHOT` select the
-/// ownership arithmetic and read policy at compile time (`SINGLE`:
-/// everything is owned and local — the checks vanish). `inline(never)`
-/// for the same reason as the turbo batch loop: called with whole block
-/// segments (call overhead is nil) and keeping it a standalone
-/// entry-aligned symbol makes its code layout independent of the caller.
-#[inline(never)]
-fn exec_segment<
-    P: PackedProtocol,
-    T: Topology,
-    W: TurboWord,
-    const STRIDED: bool,
-    const SINGLE: bool,
-    const SNAPSHOT: bool,
->(
-    protocol: &P,
-    topology: &T,
-    s: usize,
-    shard: &mut Shard<W>,
-    seg: &Segment<'_>,
-) {
     let partition = seg.partition;
-    let m = P::OBSERVATIONS;
-    let nshards = partition.shards();
-    let size = partition.size(s) as u64;
-    let (lo, hi) = if STRIDED || SINGLE {
-        (0, 0)
-    } else {
-        let r = partition.range(s);
-        (r.start, r.end)
-    };
-    let owns = |u: usize| {
-        if SINGLE {
-            true
-        } else if STRIDED {
-            u % nshards == s
-        } else {
-            u >= lo && u < hi
-        }
-    };
-    let local_of = |u: usize| {
-        if SINGLE {
-            u
-        } else if STRIDED {
-            u / nshards
-        } else {
-            u - lo
-        }
-    };
-    let global_of = |j: usize| {
-        if SINGLE {
-            j
-        } else if STRIDED {
-            j * nshards + s
-        } else {
-            lo + j
-        }
-    };
-
+    let shards = partition.shards();
     // The granted sub-range: granted steps are spread evenly across the
     // block, so the sub-range [q0, q1) of block positions maps to the
     // closed-form index window below (u128: c·q can overflow u64). A
@@ -896,80 +868,74 @@ fn exec_segment<
     let j0 = ((c as u128 * q0 as u128) / seg.block as u128) as u64;
     let j1 = ((c as u128 * q1 as u128) / seg.block as u128) as u64;
     let mut stream = CounterRng::for_shard(seg.seed, s as u64, seg.index);
-    if j0 > 0 {
-        stream.advance_by(j0 * (m as u64 + 1));
-    }
+    stream.advance_by(j0 * (P::OBSERVATIONS as u64 + 1));
 
-    let snap: &[u32] = if SNAPSHOT {
-        seg.snap
-            .as_deref()
-            .expect("snapshot read mode requires a block-start snapshot")
-    } else {
-        &[]
+    // Monomorphize the kernel over the partition layout and read mode so
+    // the per-partner ownership test and local-index map compile to two
+    // compares (contiguous), one remainder (strided), or nothing at all
+    // (single shard — the one-core fallback, which must stay within a
+    // few percent of the turbo engine).
+    type Kernel<P, T, W> = fn(
+        &P,
+        &T,
+        Owner<'_>,
+        &mut [W],
+        &mut Vec<Deferred>,
+        CounterRng,
+        std::ops::Range<u64>,
+    ) -> u64;
+    let snapshot = shards > 1 && seg.read_mode == ReadMode::Snapshot;
+    let kernel: Kernel<P, T, W> = match (shards == 1, partition.kind(), snapshot) {
+        (true, _, _) => run_steps::<P, T, W, false, true, false>,
+        (false, PartitionKind::Contiguous, false) => run_steps::<P, T, W, false, false, false>,
+        (false, PartitionKind::Contiguous, true) => run_steps::<P, T, W, false, false, true>,
+        (false, PartitionKind::Strided, false) => run_steps::<P, T, W, true, false, false>,
+        (false, PartitionKind::Strided, true) => run_steps::<P, T, W, true, false, true>,
+    };
+    let (lo, hi) = match partition.kind() {
+        PartitionKind::Contiguous => {
+            let r = partition.range(s);
+            (r.start, r.end)
+        }
+        PartitionKind::Strided => (0, 0),
+    };
+    let snap: &[u32] = match &seg.snap {
+        Some(snap) => snap,
+        None => {
+            assert!(
+                !snapshot,
+                "snapshot read mode requires a block-start snapshot"
+            );
+            &[]
+        }
+    };
+    let owner = Owner {
+        shard: s,
+        shards,
+        lo,
+        hi,
+        snap,
     };
     // Recorder tallies without a branch on the recorder: deferred steps
     // are the queue's growth, and remote reads a plain add.
     let queued = shard.queue.len();
-    let mut snap_reads = 0u64;
-    let states = shard.states.as_mut_slice();
-    for j in j0..j1 {
-        // Agent draw: multiply-shift over the shard's own members (bias
-        // size/2^64) — the count-split already decided *how many* steps
-        // land here, this decides *which* member acts.
-        let w = rand::Rng::next_u64(&mut stream);
-        let lu = ((w as u128 * size as u128) >> 64) as usize;
-        let u = global_of(lu);
-        let mut partners = [0u32; MAX_PACKED_OBSERVATIONS];
-        let mut observed = [0u32; MAX_PACKED_OBSERVATIONS];
-        let mut last = 0u64;
-        let mut local = true;
-        for slot in 0..m {
-            last = rand::Rng::next_u64(&mut stream);
-            let v = topology.sample_partner_turbo(u, last);
-            if SINGLE {
-                observed[slot] = states[v].widen();
-            } else if SNAPSHOT {
-                let remote = !owns(v);
-                snap_reads += remote as u64;
-                observed[slot] = if remote {
-                    snap[v]
-                } else {
-                    states[local_of(v)].widen()
-                };
-            } else {
-                partners[slot] = v as u32;
-                if owns(v) {
-                    observed[slot] = states[local_of(v)].widen();
-                } else {
-                    local = false;
-                }
-            }
-        }
-        if SINGLE || SNAPSHOT || local {
-            let me = states[lu].widen();
-            // Transition entropy rides the last partner word, exactly as
-            // in the turbo engine; the fallback stream is parked one hash
-            // away.
-            let mut rng = CounterRng::from_state(last ^ GOLDEN);
-            let next = protocol.transition_turbo(me, &observed[..m], last, &mut rng);
-            states[lu] = W::narrow(next);
-        } else {
-            shard.queue.push(Deferred {
-                key: (j << 32) | s as u64,
-                agent: u as u32,
-                partners,
-                entropy: last,
-            });
-        }
-    }
+    let snap_reads = kernel(
+        protocol,
+        topology,
+        owner,
+        &mut shard.states,
+        &mut shard.queue,
+        stream,
+        j0..j1,
+    );
     if pp_obs::enabled() {
         let deferred = (shard.queue.len() - queued) as u64;
         pp_obs::counter_add("sharded.granted", j1 - j0);
         pp_obs::counter_add("sharded.local_applied", j1 - j0 - deferred);
-        if SNAPSHOT {
+        if snapshot {
             pp_obs::counter_add("sharded.snapshot_reads", snap_reads);
         }
-        if !(SINGLE || SNAPSHOT) {
+        if shards > 1 && !snapshot {
             pp_obs::counter_add("sharded.deferred", deferred);
         }
         // Per-shard load: the granted-step distribution across segments
@@ -1377,8 +1343,7 @@ mod tests {
         assert_eq!(sim.state(2), 7);
         sim.set_state(2, &9);
         assert_eq!(sim.states_packed(), vec![5, 6, 9, 8]);
-        assert_eq!(sim.states_unpacked(), vec![5, 6, 9, 8]);
-        assert_eq!(sim.population().states(), &[5, 6, 9, 8]);
+        assert_eq!(sim.snapshot(), vec![5, 6, 9, 8]);
         assert_eq!(PackedProtocol::name(sim.protocol()), "copy");
         assert_eq!(sim.topology().len(), 4);
         let mut seen = Vec::new();
@@ -1440,5 +1405,80 @@ mod tests {
     #[should_panic(expected = "overflows u8")]
     fn u8_storage_rejects_wide_states() {
         ShardedSimulator::<_, _, u8>::new(Copy1, Cycle::new(3), &[1u32, 300, 2], 0);
+    }
+
+    #[test]
+    fn same_length_rewrite_keeps_the_deferred_queues() {
+        // A no-op rewrite partway through a block must not drop the
+        // block's deferred cross-shard interactions.
+        let defer = || strided_sim(5, 4, 32).with_read_mode(ReadMode::Defer);
+        let mut a = defer();
+        a.run(32);
+        let mut b = defer();
+        b.run(16);
+        let snapshot = b.snapshot();
+        b.set_states(&snapshot);
+        b.run(16);
+        assert_eq!(a.states_packed(), b.states_packed());
+    }
+
+    #[test]
+    fn set_states_equals_the_set_state_loop() {
+        let rewrite: Vec<u32> = (0..96).map(|u| (u * 7) % 96).collect();
+        for mode in [ReadMode::Defer, ReadMode::Snapshot] {
+            let mut a = strided_sim(6, 4, 32).with_read_mode(mode);
+            let mut b = strided_sim(6, 4, 32).with_read_mode(mode);
+            a.run(16);
+            b.run(16);
+            a.set_states(&rewrite);
+            for (u, s) in rewrite.iter().enumerate() {
+                b.set_state(u, s);
+            }
+            a.run(16 + 640);
+            b.run(16 + 640);
+            assert_eq!(a.states_packed(), b.states_packed(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn resize_keeps_the_layout() {
+        let mut s = sim(1, 4, 32);
+        s.push_agent(&7);
+        assert_eq!((s.partition().shards(), s.block()), (4, 32));
+        s.swap_remove_agent(0);
+        assert_eq!((s.partition().shards(), s.block()), (4, 32));
+        // Shrinking below the shard count caps it at the population.
+        let init: Vec<u32> = (0..4).collect();
+        let mut tiny = ShardedSimulator::<_, _, u32>::new(Copy1, Complete::new(4), &init, 1)
+            .with_layout(4, 32);
+        tiny.swap_remove_agent(0);
+        assert_eq!((tiny.partition().shards(), tiny.block()), (3, 32));
+        tiny.run(100);
+    }
+
+    #[test]
+    fn resize_mid_block_in_snapshot_mode_refreshes_the_block_snapshot() {
+        let mut s = strided_sim(8, 4, 32);
+        s.run(16);
+        s.push_agent(&1);
+        s.run(1_000);
+        assert_eq!(s.step_count(), 1_016);
+        assert_eq!(s.partition().shards(), 4);
+    }
+
+    #[test]
+    fn resize_across_the_default_shard_threshold_mid_block() {
+        // 8191 agents sit below two default shards' worth of nodes and
+        // 8192 do not: a resize must not re-derive the layout (a switch
+        // from one shard to two mid-block found no block snapshot).
+        let init: Vec<u32> = (0..8191).map(|u| u % 7).collect();
+        let mut s = ShardedSimulator::<_, _, u32>::new(Copy1, Complete::new(8191), &init, 3);
+        assert_eq!(s.read_mode(), ReadMode::Snapshot);
+        let layout = (s.partition().shards(), s.block());
+        s.run(100);
+        s.push_agent(&1);
+        s.run(1_000);
+        assert_eq!((s.partition().shards(), s.block()), layout);
+        assert_eq!(s.step_count(), 1_100);
     }
 }

@@ -31,132 +31,26 @@
 //! words fit a byte (Diversification with `k ≤ 127` colours), keeping
 //! `n = 10⁶` populations cache-resident.
 //!
-//! Two equivalence tiers now exist side by side:
+//! How the engines relate:
 //!
 //! | tier | engines | guarantee | verified by |
 //! |------|---------|-----------|-------------|
 //! | bit-exact | `Simulator` ↔ `PackedSimulator` | identical trajectory per seed | shared-seed equality tests |
-//! | statistical | `PackedSimulator` ↔ `TurboSimulator`, `DenseSimulator` | identical process distribution | `pp_stats::equivalence` harness |
+//! | bit-exact | `TurboSimulator` ↔ one-lane `VecSimulator` | identical trajectory per seed | `one_lane_is_bit_exact_vs_turbo` |
+//! | statistical | `PackedSimulator` ↔ `TurboSimulator`, `ShardedSimulator`, `VecSimulator` (per lane), `DenseSimulator` | identical process distribution | `pp_stats::equivalence` harness |
+//!
+//! The step loop itself lives in the crate's counter-RNG kernel, which
+//! the sharded tier runs too: turbo is its whole-population instance,
+//! over one stream positioned at `walk_base(seed) + step·(1 + m)·GOLDEN`.
 
-use crate::packed::MAX_PACKED_OBSERVATIONS;
-use crate::{PackedProtocol, Population};
+use crate::engine::{
+    check_population, check_states_arity, check_states_width, fit_population, tally_packed,
+};
+use crate::kernel::{run_steps, walk_base, Owner, TurboWord};
+use crate::snapshot::{EngineSnapshot, SnapshotError};
+use crate::{Engine, PackedProtocol};
 use pp_graph::Topology;
-use rand::rngs::{splitmix64, CounterRng, GOLDEN};
-
-/// A state word the turbo engine can store its SoA array in.
-///
-/// [`PackedProtocol`] speaks `u32`; a `TurboWord` is the narrower storage
-/// type the engine converts through on load/store. `u8` quarters the
-/// state-array footprint when every reachable packed word fits a byte —
-/// for Diversification's `colour << 1 | shade` encoding that is `k ≤ 127`
-/// colours (see [`fits_in`](TurboWord::fits_in)).
-///
-/// The bitwise supertraits and mask helpers exist for
-/// [`PackedProtocol::transition_vec`]
-/// overrides, which run their mask arithmetic directly in the storage
-/// width: at `W = u8` that packs 32 replica lanes into one 32-byte
-/// vector register instead of four, and the engine's load/store loops
-/// move rows verbatim with no widen/narrow pass.
-pub trait TurboWord:
-    Copy
-    + Send
-    + Sync
-    + std::fmt::Debug
-    + PartialEq
-    + std::ops::BitAnd<Output = Self>
-    + std::ops::BitOr<Output = Self>
-    + std::ops::BitXor<Output = Self>
-    + std::ops::Not<Output = Self>
-    + 'static
-{
-    /// Largest packed value this word can hold.
-    const CAPACITY: u32;
-
-    /// The all-zeros word.
-    const ZERO: Self;
-
-    /// The word holding packed value 1 (the shade/parity bit).
-    const ONE: Self;
-
-    /// Narrows a packed word for storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` exceeds [`CAPACITY`](TurboWord::CAPACITY) — a protocol
-    /// whose transition emits states outside the declared alphabet must not
-    /// silently truncate them.
-    fn narrow(p: u32) -> Self;
-
-    /// Widens a stored word back to the packed form.
-    fn widen(self) -> u32;
-
-    /// Two's-complement negation: turns a 0/1 word into an all-zeros /
-    /// all-ones select mask for branch-free transition arithmetic.
-    fn wrapping_neg(self) -> Self;
-
-    /// `1` if `b` else `0`, as a storage word.
-    fn from_bool(b: bool) -> Self;
-
-    /// Whether every packed word in `0..=max_packed` is storable.
-    fn fits_in(max_packed: u32) -> bool {
-        max_packed <= Self::CAPACITY
-    }
-}
-
-impl TurboWord for u32 {
-    const CAPACITY: u32 = u32::MAX;
-    const ZERO: Self = 0;
-    const ONE: Self = 1;
-
-    #[inline(always)]
-    fn narrow(p: u32) -> Self {
-        p
-    }
-
-    #[inline(always)]
-    fn widen(self) -> u32 {
-        self
-    }
-
-    #[inline(always)]
-    fn wrapping_neg(self) -> Self {
-        u32::wrapping_neg(self)
-    }
-
-    #[inline(always)]
-    fn from_bool(b: bool) -> Self {
-        u32::from(b)
-    }
-}
-
-impl TurboWord for u8 {
-    const CAPACITY: u32 = u8::MAX as u32;
-    const ZERO: Self = 0;
-    const ONE: Self = 1;
-
-    #[inline(always)]
-    fn narrow(p: u32) -> Self {
-        // Release builds must not silently truncate either: the check is
-        // one perfectly-predicted compare against an immediate.
-        assert!(p <= Self::CAPACITY, "packed word {p} overflows u8 storage");
-        p as u8
-    }
-
-    #[inline(always)]
-    fn widen(self) -> u32 {
-        self as u32
-    }
-
-    #[inline(always)]
-    fn wrapping_neg(self) -> Self {
-        u8::wrapping_neg(self)
-    }
-
-    #[inline(always)]
-    fn from_bool(b: bool) -> Self {
-        u8::from(b)
-    }
-}
+use rand::rngs::{CounterRng, GOLDEN};
 
 /// The counter-based batch-stepping simulator.
 ///
@@ -169,12 +63,12 @@ impl TurboWord for u8 {
 /// while the state array catches up. Trajectories therefore differ
 /// from the exact engines under a shared seed, while the process
 /// distribution is identical; the `pp-stats` statistical-equivalence
-/// harness is the contract test.
+/// harness is the contract test. Driven through [`Engine`].
 ///
 /// # Examples
 ///
 /// ```
-/// use pp_engine::{PackedProtocol, TurboSimulator};
+/// use pp_engine::{Engine, PackedProtocol, TurboSimulator};
 /// use pp_graph::Cycle;
 /// use rand::Rng;
 ///
@@ -210,9 +104,6 @@ pub struct TurboSimulator<P: PackedProtocol, T: Topology, W: TurboWord = u32> {
     states: Vec<W>,
     step: u64,
     seed: u64,
-    /// Start of this simulator's Weyl walk (derived from the seed); step
-    /// `t` owns the positions `base + (t·words + j)·GOLDEN`.
-    weyl_base: u64,
 }
 
 impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
@@ -223,8 +114,9 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
     ///
     /// Panics if the number of initial states does not match the topology
     /// size, the population is smaller than 2, `P::OBSERVATIONS` is 0 or
-    /// above [`MAX_PACKED_OBSERVATIONS`], the topology exceeds `u32::MAX`
-    /// nodes, or any packed initial state overflows the storage word `W`.
+    /// above [`MAX_PACKED_OBSERVATIONS`](crate::MAX_PACKED_OBSERVATIONS),
+    /// the topology exceeds `u32::MAX` nodes, or any packed initial state
+    /// overflows the storage word `W`.
     pub fn new(protocol: P, topology: T, initial_states: &[P::State], seed: u64) -> Self {
         let packed = initial_states.iter().map(|s| protocol.pack(s)).collect();
         Self::from_packed(protocol, topology, packed, seed)
@@ -237,139 +129,14 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
     ///
     /// Same conditions as [`new`](Self::new).
     pub fn from_packed(protocol: P, topology: T, states: Vec<u32>, seed: u64) -> Self {
-        assert_eq!(
-            states.len(),
-            topology.len(),
-            "population size {} != topology size {}",
-            states.len(),
-            topology.len()
-        );
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "turbo batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
+        check_population::<P>(states.len(), topology.len());
         TurboSimulator {
             protocol,
             topology,
             states: states.into_iter().map(W::narrow).collect(),
             step: 0,
             seed,
-            // Hashed, so related seeds start unrelated walks.
-            weyl_base: splitmix64(seed ^ 0xA076_1D64_78BD_642F),
         }
-    }
-
-    /// Uniform random words this engine derives per time-step: one for
-    /// scheduling plus one per observation. The transition's `aux`
-    /// entropy rides in the low 32 bits of the last partner word —
-    /// partner draws consume a word's *high* bits (1–2 bits for the
-    /// structured families, the top `log₂ d` for degree-`d` neighbour
-    /// selection), so the fields are disjoint for the structured
-    /// topologies and correlated only at `O(d/2³²)` for the rest, far
-    /// below the equivalence harness's resolution.
-    const WORDS_PER_STEP: u64 = 1 + P::OBSERVATIONS as u64;
-
-    /// Runs one batch of `len` time-steps as a single fused loop.
-    ///
-    /// Each step's randomness is `splitmix64` evaluated at fixed positions
-    /// of the simulator's Weyl walk, so there is no loop-carried RNG
-    /// dependency: the CPU pipelines the index arithmetic of many future
-    /// steps while earlier steps' state loads are still in flight. The
-    /// relaxation also removes every rejection loop (multiply-shift
-    /// scheduling, bias `n/2⁶⁴`), every partner-draw branch and divide
-    /// ([`Topology::sample_partner_turbo`]), and — via `transition_turbo`
-    /// overrides — the data-dependent transition branches.
-    ///
-    /// An earlier variant of this engine materialised 1024-step buffers of
-    /// resolved indices (a separate index pass feeding an apply pass); the
-    /// buffer traffic made it ~2× slower than this fused loop at equal
-    /// randomness, so the batching now lives only in the *randomness
-    /// structure* (independent per-step streams), not in memory.
-    ///
-    /// `inline(never)`: the loop is called with large `len` (call overhead
-    /// is nil) and keeping it a standalone, entry-aligned symbol makes its
-    /// code layout independent of the surrounding binary — inlined into
-    /// large callers it was observed to land on slow-decode alignments
-    /// (2–3× step-rate swings between otherwise identical builds).
-    #[inline(never)]
-    fn run_batch(&mut self, len: u64) {
-        let m = P::OBSERVATIONS;
-        // Split borrows: with the state slice, topology, and protocol in
-        // *disjoint* locals, the compiler knows the per-step state store
-        // cannot alias the `Vec` descriptor or the topology/protocol
-        // fields, so slice pointer/length and topology constants stay in
-        // registers across iterations instead of being conservatively
-        // reloaded after every store (measured ~3× on the ring).
-        let TurboSimulator {
-            states,
-            topology,
-            protocol,
-            weyl_base,
-            step,
-            ..
-        } = self;
-        let states = states.as_mut_slice();
-        let n = states.len();
-        let mut pos =
-            weyl_base.wrapping_add(step.wrapping_mul(Self::WORDS_PER_STEP.wrapping_mul(GOLDEN)));
-        for _ in 0..len {
-            pos = pos.wrapping_add(GOLDEN);
-            let x = splitmix64(pos);
-            // Multiply-shift scheduling draw (bias n/2^64).
-            let u = ((x as u128 * n as u128) >> 64) as usize;
-            let me = states[u].widen();
-            let mut observed = [0u32; MAX_PACKED_OBSERVATIONS];
-            let mut last = x;
-            for slot in observed.iter_mut().take(m) {
-                pos = pos.wrapping_add(GOLDEN);
-                last = splitmix64(pos);
-                let v = topology.sample_partner_turbo(u, last);
-                *slot = states[v].widen();
-            }
-            // Transition entropy: the unconsumed low bits of the last
-            // partner word; the fallback stream for protocols drawing
-            // beyond it is parked one hash away.
-            let mut rng = CounterRng::from_state(last ^ GOLDEN);
-            let next = protocol.transition_turbo(me, &observed[..m], last, &mut rng);
-            states[u] = W::narrow(next);
-        }
-        self.step += len;
-    }
-
-    /// Runs `steps` time-steps.
-    pub fn run(&mut self, steps: u64) {
-        // Recorded per batch, not per step: one branch per `run` call.
-        pp_obs::obs_count!("turbo.steps", steps);
-        pp_obs::obs_count!("turbo.batches", 1);
-        self.run_batch(steps);
-    }
-
-    /// Number of agents.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Returns `true` if there are no agents (impossible by construction,
-    /// provided for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Number of time-steps executed so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// The seed this simulator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The stored state words, indexed by agent id.
@@ -382,60 +149,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
         self.states.iter().map(|w| w.widen()).collect()
     }
 
-    /// Decodes the full population into generic states.
-    pub fn states_unpacked(&self) -> Vec<P::State> {
-        self.states
-            .iter()
-            .map(|w| self.protocol.unpack(w.widen()))
-            .collect()
-    }
-
-    /// Decodes the population into a generic-engine [`Population`], for
-    /// checkers written against the reference types.
-    pub fn population(&self) -> Population<P::State> {
-        Population::new(self.states_unpacked())
-    }
-
-    /// Decoded state of agent `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        self.protocol.unpack(self.states[u].widen())
-    }
-
-    /// Overwrites the state of agent `u` — the hook adversarial processes
-    /// use to apply structural changes between time-steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()` or the packed state overflows `W`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        self.states[u] = W::narrow(self.protocol.pack(state));
-    }
-
-    /// Replaces the whole packed population, resizing the topology (via
-    /// [`Topology::resized`]) when the length changes — the bulk-rewrite
-    /// path of the [`Engine`](crate::Engine) structural-mutation surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, a state overflows `W`, or
-    /// the length changed and the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "turbo batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        if states.len() != self.states.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, states.len());
-        }
-        self.states = states.into_iter().map(W::narrow).collect();
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -446,13 +159,134 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
         &self.topology
     }
 
-    /// Rewinds the non-population resume state to a snapshot's values:
-    /// the whole stream is keyed by `(seed, step)`, so clock and seed
-    /// (plus the seed-derived walk base) are the entire private state.
-    pub(crate) fn restore_raw(&mut self, step: u64, seed: u64) {
-        self.step = step;
-        self.seed = seed;
-        self.weyl_base = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
+    /// Replaces the whole packed population, resizing the topology when
+    /// the length changes.
+    fn replace_packed(&mut self, states: Vec<u32>) {
+        fit_population::<P, T>(&mut self.topology, states.len());
+        self.states = states.into_iter().map(W::narrow).collect();
+    }
+}
+
+impl<P, T, W> Engine for TurboSimulator<P, T, W>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+    W: TurboWord,
+{
+    type State = P::State;
+
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&mut self, steps: u64) {
+        // Recorded per batch, not per step: one branch per `run` call.
+        pp_obs::obs_count!("turbo.steps", steps);
+        pp_obs::obs_count!("turbo.batches", 1);
+        // Step `t` owns the walk positions `base + (t·(1 + m) + j)·GOLDEN`
+        // for j in 1..=1 + m: one schedule word, then one per partner.
+        let words = 1 + P::OBSERVATIONS as u64;
+        let stream = CounterRng::from_state(
+            walk_base(self.seed).wrapping_add(self.step.wrapping_mul(words.wrapping_mul(GOLDEN))),
+        );
+        run_steps::<P, T, W, false, true, false>(
+            &self.protocol,
+            &self.topology,
+            Owner::default(),
+            &mut self.states,
+            &mut Vec::new(),
+            stream,
+            0..steps,
+        );
+        self.step += steps;
+    }
+
+    fn class_counts(&self) -> Vec<u64> {
+        tally_packed(self.states.iter().map(|w| w.widen()))
+    }
+
+    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
+        for (u, w) in self.states.iter().enumerate() {
+            f(u, &self.protocol.unpack(w.widen()));
+        }
+    }
+
+    fn state(&self, u: usize) -> Self::State {
+        self.protocol.unpack(self.states[u].widen())
+    }
+
+    fn set_state(&mut self, u: usize, state: &Self::State) {
+        self.states[u] = W::narrow(self.protocol.pack(state));
+    }
+
+    fn set_states(&mut self, states: &[Self::State]) {
+        let packed = states.iter().map(|s| self.protocol.pack(s)).collect();
+        self.replace_packed(packed);
+    }
+
+    fn push_agent(&mut self, state: &Self::State) {
+        let mut packed = self.states_packed();
+        packed.push(self.protocol.pack(state));
+        self.replace_packed(packed);
+    }
+
+    fn swap_remove_agent(&mut self, u: usize) {
+        let mut packed = self.states_packed();
+        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
+        packed.swap_remove(u);
+        self.replace_packed(packed);
+    }
+
+    fn topology_name(&self) -> String {
+        self.topology.name()
+    }
+
+    fn supports_resize(&self) -> bool {
+        self.topology.resized(self.len()).is_some()
+    }
+
+    fn save_snapshot(&mut self) -> EngineSnapshot {
+        EngineSnapshot {
+            engine: "turbo".into(),
+            protocol: self.protocol.name(),
+            topology: self.topology.name(),
+            n: self.len() as u64,
+            clock: self.step,
+            seed: self.seed,
+            states: self.states_packed(),
+            // The whole stream is keyed by (seed, step): no private words.
+            aux: Vec::new(),
+        }
+    }
+
+    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
+        snapshot.check_identity(
+            "turbo",
+            &self.protocol.name(),
+            &self.topology.name(),
+            self.len() as u64,
+        )?;
+        if !snapshot.aux.is_empty() {
+            return Err(SnapshotError::BadPayload(format!(
+                "turbo tier carries no aux words, got {}",
+                snapshot.aux.len()
+            )));
+        }
+        check_states_arity(snapshot, snapshot.n)?;
+        check_states_width::<W>(snapshot)?;
+        self.replace_packed(snapshot.states.clone());
+        self.step = snapshot.clock;
+        self.seed = snapshot.seed;
+        Ok(())
     }
 }
 
@@ -568,7 +402,7 @@ mod tests {
         sim.set_state(2, &9);
         assert_eq!(sim.states_words()[2], 9u32);
         assert_eq!(sim.states_packed(), vec![5, 6, 9]);
-        assert_eq!(sim.population().states(), &[5, 6, 9]);
+        assert_eq!(sim.snapshot(), vec![5, 6, 9]);
         assert_eq!(PackedProtocol::name(sim.protocol()), "copy");
         assert_eq!(sim.topology().len(), 3);
         let mut seen = Vec::new();

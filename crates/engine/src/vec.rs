@@ -45,14 +45,15 @@
 //! battery per lane; EXPERIMENTS.md ("Ensemble tier") states the
 //! contract.
 
+use crate::engine::{
+    check_population, check_states_arity, check_states_width, fit_population, tally_packed,
+};
+use crate::kernel::walk_base;
 use crate::packed::MAX_PACKED_OBSERVATIONS;
-use crate::{PackedProtocol, Population, TurboWord};
+use crate::snapshot::{EngineSnapshot, SnapshotError};
+use crate::{Engine, PackedProtocol, TurboWord};
 use pp_graph::Topology;
 use rand::rngs::{splitmix64, CounterRng, GOLDEN};
-
-/// Hash tweak that turns a seed into a Weyl-walk base; must match
-/// `TurboSimulator`'s so one-lane runs are bit-exact against turbo.
-const WALK_TWEAK: u64 = 0xA076_1D64_78BD_642F;
 
 /// The lane-parallel ensemble simulator: `L` replicas of one
 /// `(protocol, topology)` pair stepped in lockstep.
@@ -65,7 +66,7 @@ const WALK_TWEAK: u64 = 0xA076_1D64_78BD_642F;
 /// # Examples
 ///
 /// ```
-/// use pp_engine::{PackedProtocol, VecSimulator};
+/// use pp_engine::{Engine, PackedProtocol, VecSimulator};
 /// use pp_graph::Cycle;
 /// use rand::Rng;
 ///
@@ -104,15 +105,12 @@ pub struct VecSimulator<P: PackedProtocol, T: Topology, W: TurboWord = u8, const
     /// Lane-major SoA: `states[u * L + l]` is agent `u` in replica `l`.
     states: Vec<W>,
     step: u64,
+    /// Keys the shared schedule walk: step `t`'s scheduling draw sits at
+    /// `walk_base(master_seed) + (t·words + 1)·GOLDEN`.
     master_seed: u64,
+    /// Keys the per-lane partner/aux walks: lane `l`'s observation `j` at
+    /// step `t` sits at `walk_base(lane_seeds[l]) + (t·words + 2 + j)·GOLDEN`.
     lane_seeds: [u64; L],
-    /// Schedule-walk base (from the master seed); step `t`'s scheduling
-    /// draw sits at `sched_base + (t·words + 1)·GOLDEN`.
-    sched_base: u64,
-    /// Per-lane partner/aux walk bases (from the lane seeds); lane `l`'s
-    /// observation `j` at step `t` sits at
-    /// `lane_bases[l] + (t·words + 2 + j)·GOLDEN`.
-    lane_bases: [u64; L],
 }
 
 impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<P, T, W, L> {
@@ -159,44 +157,14 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
         lane_seeds: [u64; L],
     ) -> Self {
         assert!(L > 0, "vec engine needs at least one lane");
-        assert_eq!(
-            states.len(),
-            topology.len(),
-            "population size {} != topology size {}",
-            states.len(),
-            topology.len()
-        );
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "vec batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
-        let mut lane_major = Vec::with_capacity(states.len() * L);
-        for &p in &states {
-            let w = W::narrow(p);
-            for _ in 0..L {
-                lane_major.push(w);
-            }
-        }
-        let mut lane_bases = [0u64; L];
-        for (base, &seed) in lane_bases.iter_mut().zip(&lane_seeds) {
-            *base = splitmix64(seed ^ WALK_TWEAK);
-        }
+        check_population::<P>(states.len(), topology.len());
         VecSimulator {
             protocol,
             topology,
-            states: lane_major,
+            states: lane_major::<W, L>(&states),
             step: 0,
             master_seed,
             lane_seeds,
-            sched_base: splitmix64(master_seed ^ WALK_TWEAK),
-            lane_bases,
         }
     }
 
@@ -247,22 +215,26 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
     /// a `memset` call per step) and every row index is clamped with a
     /// no-op `min` that lets the compiler discharge the bounds checks.
     ///
-    /// `inline(never)` for the same code-layout reason as the turbo
-    /// engine's batch loop (entry-aligned standalone symbol).
+    /// `inline(never)` for the same code-layout reason as the counter-RNG
+    /// step kernel turbo and sharded run (entry-aligned standalone
+    /// symbol).
     #[inline(never)]
-    fn run_batch(&mut self, len: u64) {
+    pub(crate) fn run_batch(&mut self, len: u64) {
+        // Recorded per batch, not per step: one branch per call.
+        pp_obs::obs_count!("vec.steps", len);
+        pp_obs::obs_count!("vec.lane_steps", len.saturating_mul(L as u64));
+        pp_obs::obs_count!("vec.batches", 1);
         let m = P::OBSERVATIONS;
-        // Split borrows, as in the turbo engine: disjoint locals let the
+        // Split borrows, as in the step kernel: disjoint locals let the
         // compiler keep slice pointers and walk bases in registers across
         // the per-step stores.
         let VecSimulator {
             states,
             topology,
             protocol,
-            sched_base,
-            lane_bases,
+            master_seed,
+            lane_seeds,
             step,
-            ..
         } = self;
         let states = states.as_mut_slice();
         let n = states.len() / L;
@@ -272,8 +244,8 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
         // from `v ≤ n−1` and erase the per-lane bounds checks in the
         // row and gather loops below.
         let states = &mut states[..n * L];
-        let sched_base = *sched_base;
-        let lane_bases = *lane_bases;
+        let sched_base = walk_base(*master_seed);
+        let lane_bases = lane_seeds.map(walk_base);
         let stride = Self::WORDS_PER_STEP.wrapping_mul(GOLDEN);
         // Position offset of this step's word block: (t · words) · GOLDEN.
         let mut woff = step.wrapping_mul(stride);
@@ -329,39 +301,9 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
         self.step += len;
     }
 
-    /// Runs `steps` time-steps (per lane: every lane advances `steps`).
-    pub fn run(&mut self, steps: u64) {
-        // Recorded per batch, not per step: one branch per `run` call.
-        pp_obs::obs_count!("vec.steps", steps);
-        pp_obs::obs_count!("vec.lane_steps", steps.saturating_mul(L as u64));
-        pp_obs::obs_count!("vec.batches", 1);
-        self.run_batch(steps);
-    }
-
-    /// Number of agents (per lane).
-    pub fn len(&self) -> usize {
-        self.states.len() / L
-    }
-
-    /// Returns `true` if there are no agents (impossible by construction,
-    /// provided for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
     /// Number of lanes (`L`).
     pub fn lanes(&self) -> usize {
         L
-    }
-
-    /// Number of time-steps executed so far (per lane).
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// The master seed keying the shared schedule walk.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
     }
 
     /// The per-lane seeds keying the partner/aux walks.
@@ -388,125 +330,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
             .collect()
     }
 
-    /// Lane `l`'s population decoded into generic states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= L`.
-    pub fn lane_states_unpacked(&self, l: usize) -> Vec<P::State> {
-        assert!(l < L, "lane {l} out of range for {L} lanes");
-        self.states[l..]
-            .iter()
-            .step_by(L)
-            .map(|w| self.protocol.unpack(w.widen()))
-            .collect()
-    }
-
-    /// Lane `l` decoded into a generic-engine [`Population`], for
-    /// checkers written against the reference types.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= L`.
-    pub fn lane_population(&self, l: usize) -> Population<P::State> {
-        Population::new(self.lane_states_unpacked(l))
-    }
-
-    /// Decoded state of agent `u` in lane 0 — the observed replica of
-    /// the [`Engine`](crate::Engine) surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        assert!(u < self.len(), "agent {u} out of range");
-        self.protocol.unpack(self.states[u * L].widen())
-    }
-
-    /// Overwrites the state of agent `u` in **every lane** — structural
-    /// mutations apply to all replicas, keeping the lanes exchangeable
-    /// replicas of the same (mutated) process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()` or the packed state overflows `W`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        assert!(u < self.len(), "agent {u} out of range");
-        let w = W::narrow(self.protocol.pack(state));
-        for slot in &mut self.states[u * L..(u + 1) * L] {
-            *slot = w;
-        }
-    }
-
-    /// Replaces the population of **every lane** with the given packed
-    /// configuration, resizing the topology (via
-    /// [`Topology::resized`]) when the length changes — the bulk-rewrite
-    /// path of the [`Engine`](crate::Engine) structural-mutation surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, a state overflows `W`, or
-    /// the length changed and the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "vec batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        if states.len() != self.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, states.len());
-        }
-        let mut lane_major = Vec::with_capacity(states.len() * L);
-        for &p in &states {
-            let w = W::narrow(p);
-            for _ in 0..L {
-                lane_major.push(w);
-            }
-        }
-        self.states = lane_major;
-    }
-
-    /// Appends one agent (same packed state in every lane), resizing the
-    /// topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state overflows `W` or the topology family has no
-    /// canonical resize.
-    pub fn push_packed_agent(&mut self, p: u32) {
-        let n = self.len() + 1;
-        assert!(
-            u32::try_from(n).is_ok(),
-            "vec batch buffers store node ids as u32; {n} agents is too many"
-        );
-        self.topology = crate::engine::resize_topology(&self.topology, n);
-        let w = W::narrow(p);
-        for _ in 0..L {
-            self.states.push(w);
-        }
-    }
-
-    /// Removes agent `u` (from every lane), moving the last agent's row
-    /// into its slot, and resizes the topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`, the removal would leave fewer than 2
-    /// agents, or the topology family has no canonical resize.
-    pub fn swap_remove_packed_agent(&mut self, u: usize) {
-        let n = self.len();
-        assert!(u < n, "agent {u} out of range");
-        assert!(n > 2, "removal would leave fewer than 2 agents");
-        self.topology = crate::engine::resize_topology(&self.topology, n - 1);
-        let last = (n - 1) * L;
-        let row = u * L;
-        for l in 0..L {
-            self.states[row + l] = self.states[last + l];
-        }
-        self.states.truncate(last);
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -516,28 +339,143 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
     pub fn topology(&self) -> &T {
         &self.topology
     }
+}
 
-    /// Rebuilds the full resume state from a snapshot: **all** lanes'
-    /// words (lane-major, `n·L` entries — the Engine surface observes
-    /// lane 0 but every lane is part of the ensemble's state), clock,
-    /// and the master/lane seeds with their derived walk bases. The
-    /// caller has validated the arity and that every word fits `W`.
-    pub(crate) fn restore_raw(
-        &mut self,
-        lane_major: Vec<u32>,
-        step: u64,
-        master_seed: u64,
-        lane_seeds: [u64; L],
-    ) {
-        debug_assert_eq!(lane_major.len(), self.states.len());
-        self.states = lane_major.into_iter().map(W::narrow).collect();
-        self.step = step;
-        self.master_seed = master_seed;
-        self.lane_seeds = lane_seeds;
-        self.sched_base = splitmix64(master_seed ^ WALK_TWEAK);
-        for (base, &seed) in self.lane_bases.iter_mut().zip(&lane_seeds) {
-            *base = splitmix64(seed ^ WALK_TWEAK);
+/// Copies one packed configuration into every lane, lane-major.
+fn lane_major<W: TurboWord, const L: usize>(states: &[u32]) -> Vec<W> {
+    // Sized up front: collecting the flattened iterator instead grows the
+    // `n·L` array by doubling, which raised peak RSS measurably.
+    let mut out = Vec::with_capacity(states.len() * L);
+    for &p in states {
+        out.extend(std::iter::repeat_n(W::narrow(p), L));
+    }
+    out
+}
+
+/// The ensemble engine on the Engine surface: **lane 0 is the observed
+/// replica** (class counts, snapshots, per-agent reads), while structural
+/// mutations — set/replace/push/remove — apply to **every lane**, keeping
+/// the lanes exchangeable replicas of the same mutated process. Replicas
+/// re-diverge through their per-lane streams after a bulk rewrite.
+impl<P, T, W, const L: usize> Engine for VecSimulator<P, T, W, L>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+    W: TurboWord,
+{
+    type State = P::State;
+
+    fn len(&self) -> usize {
+        self.states.len() / L
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    /// The master seed keying the shared schedule walk.
+    fn seed(&self) -> u64 {
+        self.master_seed
+    }
+
+    /// Runs `steps` time-steps (per lane: every lane advances `steps`).
+    fn run(&mut self, steps: u64) {
+        self.run_batch(steps);
+    }
+
+    fn class_counts(&self) -> Vec<u64> {
+        tally_packed(self.lane_states_packed(0).into_iter())
+    }
+
+    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
+        for (u, p) in self.lane_states_packed(0).into_iter().enumerate() {
+            f(u, &self.protocol.unpack(p));
         }
+    }
+
+    fn state(&self, u: usize) -> Self::State {
+        assert!(u < self.len(), "agent {u} out of range");
+        self.protocol.unpack(self.states[u * L].widen())
+    }
+
+    /// Overwrites the state of agent `u` in **every lane**.
+    fn set_state(&mut self, u: usize, state: &Self::State) {
+        assert!(u < self.len(), "agent {u} out of range");
+        let w = W::narrow(self.protocol.pack(state));
+        self.states[u * L..(u + 1) * L].fill(w);
+    }
+
+    fn set_states(&mut self, states: &[Self::State]) {
+        let packed: Vec<u32> = states.iter().map(|s| self.protocol.pack(s)).collect();
+        fit_population::<P, T>(&mut self.topology, packed.len());
+        self.states = lane_major::<W, L>(&packed);
+    }
+
+    fn push_agent(&mut self, state: &Self::State) {
+        let n = self.len() + 1;
+        fit_population::<P, T>(&mut self.topology, n);
+        let w = W::narrow(self.protocol.pack(state));
+        self.states.extend(std::iter::repeat_n(w, L));
+    }
+
+    /// Removes agent `u` from every lane, moving the last agent's row into
+    /// its slot.
+    fn swap_remove_agent(&mut self, u: usize) {
+        let n = self.len();
+        assert!(u < n, "agent {u} out of range");
+        assert!(n > 2, "removal would leave fewer than 2 agents");
+        fit_population::<P, T>(&mut self.topology, n - 1);
+        let last = (n - 1) * L;
+        self.states.copy_within(last.., u * L);
+        self.states.truncate(last);
+    }
+
+    fn topology_name(&self) -> String {
+        self.topology.name()
+    }
+
+    fn supports_resize(&self) -> bool {
+        self.topology.resized(self.len()).is_some()
+    }
+
+    fn save_snapshot(&mut self) -> EngineSnapshot {
+        EngineSnapshot {
+            engine: "vec".into(),
+            protocol: self.protocol.name(),
+            topology: self.topology.name(),
+            n: self.len() as u64,
+            clock: self.step,
+            seed: self.master_seed,
+            // All lanes, lane-major: the Engine surface observes lane 0
+            // but the ensemble's state is every replica.
+            states: self.states.iter().map(|w| w.widen()).collect(),
+            aux: std::iter::once(L as u64)
+                .chain(self.lane_seeds.iter().copied())
+                .collect(),
+        }
+    }
+
+    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
+        snapshot.check_identity(
+            "vec",
+            &self.protocol.name(),
+            &self.topology.name(),
+            self.len() as u64,
+        )?;
+        if snapshot.aux.len() != 1 + L || snapshot.aux[0] != L as u64 {
+            return Err(SnapshotError::BadPayload(format!(
+                "vec tier aux must be [L, lane_seeds…] with L = {L}, got {:?}",
+                snapshot.aux.first()
+            )));
+        }
+        check_states_arity(snapshot, snapshot.n * L as u64)?;
+        check_states_width::<W>(snapshot)?;
+        self.states = snapshot.states.iter().map(|&p| W::narrow(p)).collect();
+        self.step = snapshot.clock;
+        self.master_seed = snapshot.seed;
+        self.lane_seeds.copy_from_slice(&snapshot.aux[1..]);
+        Ok(())
     }
 }
 
@@ -710,21 +648,21 @@ mod tests {
         assert_eq!(sim.len(), 3);
         assert_eq!(sim.lanes(), L);
         assert!(!sim.is_empty());
-        assert_eq!(sim.master_seed(), 1);
+        assert_eq!(sim.seed(), 1);
         assert_eq!(sim.lane_seeds()[0], 1);
         assert_eq!(sim.state(2), 7);
         sim.set_state(2, &9);
         for l in 0..L {
             assert_eq!(sim.lane_states_packed(l), vec![5, 6, 9], "lane {l}");
         }
-        assert_eq!(sim.lane_population(0).states(), &[5, 6, 9]);
-        sim.push_packed_agent(4);
+        assert_eq!(sim.snapshot(), vec![5, 6, 9]);
+        sim.push_agent(&4);
         assert_eq!(sim.len(), 4);
         assert_eq!(sim.topology().len(), 4);
-        assert_eq!(sim.lane_states_unpacked(1), vec![5, 6, 9, 4]);
-        sim.swap_remove_packed_agent(0);
+        assert_eq!(sim.lane_states_packed(1), vec![5, 6, 9, 4]);
+        sim.swap_remove_agent(0);
         assert_eq!(sim.lane_states_packed(2), vec![4, 6, 9]);
-        sim.replace_packed_states(vec![1, 2]);
+        sim.set_states(&[1, 2]);
         assert_eq!(sim.len(), 2);
         assert_eq!(sim.topology().len(), 2);
         assert_eq!(sim.lane_states_packed(0), vec![1, 2]);

@@ -110,7 +110,7 @@ fn topology_len_checked_against_population() {
 /// pattern of the topology experiments.
 #[test]
 fn sweep_grid_matches_sequential_reference_byte_for_byte() {
-    use pp_engine::{sweep_grid, PackedProtocol, PackedSimulator};
+    use pp_engine::{sweep_grid, Engine, PackedProtocol, PackedSimulator};
 
     #[derive(Debug, Clone)]
     struct PackedAdopt;

@@ -2,10 +2,10 @@
 //!
 //! This file is a test process of its own, so it can select the `json`
 //! sink before anything touches the recorder (`PP_OBS` is read once per
-//! process). One test function runs both read modes in turn, because the
+//! process). One test function runs every case in turn, because the
 //! counters are process-global.
 
-use pp_engine::{PackedProtocol, ReadMode, ShardedSimulator};
+use pp_engine::{Engine, PackedProtocol, ReadMode, ShardedSimulator};
 use pp_graph::{Complete, Cycle};
 use rand::Rng;
 
@@ -59,6 +59,22 @@ fn sharded_tallies_account_for_every_granted_step() {
     assert_eq!(granted, steps);
     assert_eq!(counter("sharded.local_applied") + deferred, granted);
     assert!(deferred > 0, "a 4-shard cycle must defer some interactions");
+    assert_eq!(counter("sharded.merged"), deferred);
+
+    // A resize partway through a block merges the queued interactions
+    // before renumbering agents, so none is dropped: at the next boundary
+    // the merge has applied every deferred step.
+    pp_obs::reset();
+    let mut resized =
+        ShardedSimulator::<_, _, u32>::new(Copy1, Cycle::new(96), &init, 5).with_layout(4, 256);
+    resized.run(256 * 4 + 250);
+    let pending = counter("sharded.deferred") - counter("sharded.merged");
+    assert!(pending > 0, "the paused block must hold deferred steps");
+    resized.push_agent(&7);
+    let block = resized.block();
+    resized.run(block - resized.step_count() % block);
+    let deferred = counter("sharded.deferred");
+    assert!(deferred > 0);
     assert_eq!(counter("sharded.merged"), deferred);
 
     // Snapshot mode on a strided partition: remote partners are read from

@@ -155,8 +155,8 @@ pub mod prelude {
     };
     pub use pp_dense::{CountConfig, CountProtocol, DenseSimulator};
     pub use pp_engine::{
-        replicate, sweep_grid, PackedProtocol, PackedSimulator, Population, Protocol, Simulator,
-        TurboSimulator,
+        replicate, sweep_grid, Engine, PackedProtocol, PackedSimulator, Population, Protocol,
+        Simulator, TurboSimulator,
     };
     pub use pp_graph::{Complete, Csr, Cycle, Topology, Torus2d};
 }

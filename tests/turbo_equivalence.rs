@@ -28,7 +28,7 @@
 
 use pp_baselines::{AntiVoter, ThreeMajority, TwoChoices, Voter};
 use pp_core::{init, packed::config_stats_from_words, Colour, Diversification, Weights};
-use pp_engine::{replicate, PackedProtocol, PackedSimulator, TurboSimulator};
+use pp_engine::{replicate, Engine, PackedProtocol, PackedSimulator, TurboSimulator};
 use pp_graph::{random_regular, Complete, Csr, Cycle, Topology, Torus2d};
 use pp_stats::EquivalenceSuite;
 use rand::rngs::StdRng;
@@ -69,7 +69,10 @@ trait EngineRun {
     fn states_wide(&self) -> Vec<u32>;
 }
 
-impl<P: PackedProtocol, T: Topology> EngineRun for PackedSimulator<P, T> {
+impl<P: PackedProtocol, T: Topology> EngineRun for PackedSimulator<P, T>
+where
+    P::State: Send + Sync,
+{
     fn advance(&mut self, steps: u64) {
         self.run(steps);
     }
@@ -79,7 +82,10 @@ impl<P: PackedProtocol, T: Topology> EngineRun for PackedSimulator<P, T> {
     }
 }
 
-impl<P: PackedProtocol, T: Topology> EngineRun for TurboSimulator<P, T, u8> {
+impl<P: PackedProtocol, T: Topology> EngineRun for TurboSimulator<P, T, u8>
+where
+    P::State: Send + Sync,
+{
     fn advance(&mut self, steps: u64) {
         self.run(steps);
     }

@@ -29,7 +29,7 @@
 use pp_baselines::{TwoChoices, Voter};
 use pp_core::{init, packed::config_stats_from_words, Colour, Diversification, Weights};
 use pp_engine::{
-    replicate, replicate_vec, PackedProtocol, PackedSimulator, TurboSimulator, VecSimulator,
+    replicate, replicate_vec, Engine, PackedProtocol, PackedSimulator, TurboSimulator, VecSimulator,
 };
 use pp_graph::{random_regular, Complete, Csr, Cycle, Topology, Torus2d};
 use pp_stats::EquivalenceSuite;
@@ -72,7 +72,10 @@ fn run_packed<P: PackedProtocol, T: Topology>(
     checkpoints: &[u64],
     stat: &(dyn Fn(&[u32]) -> Vec<f64> + Sync),
     hit: &(dyn Fn(&[u32]) -> bool + Sync),
-) -> SeedRecord {
+) -> SeedRecord
+where
+    P::State: Send + Sync,
+{
     let budget = budget();
     let mut hit_at: Option<u64> = None;
     let mut traj = Vec::with_capacity(checkpoints.len());
@@ -115,6 +118,7 @@ fn run_group<P, T, const L: usize>(
 ) -> Vec<SeedRecord>
 where
     P: PackedProtocol,
+    P::State: Send + Sync,
     T: Topology,
 {
     let budget = budget();
