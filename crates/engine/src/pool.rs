@@ -19,15 +19,19 @@
 //! parallel algorithm in this crate is deterministic and
 //! thread-count-independent by construction.
 //!
-//! Threads themselves are scoped (`std::thread::scope`), not persistent:
-//! the crate is `forbid(unsafe_code)`, and lending the non-`'static`
-//! closures of `replicate`/`ShardedSimulator::run` to a persistent
-//! thread is exactly the lifetime erasure that safe Rust rules out. What
-//! is hoisted and shared instead is (a) this budget, and (b) the spawn
-//! *frequency*: `ShardedSimulator` spawns once per `run()` call and keeps
-//! its workers parked on channels across every block of the run, and
-//! `replicate` spawns once per ensemble — never once per seed or per
-//! block.
+//! Threads that run *borrowed* work are scoped (`std::thread::scope`),
+//! not persistent: the crate is `forbid(unsafe_code)`, and lending the
+//! non-`'static` closures of `replicate`/`ShardedSimulator::run` to a
+//! persistent thread is exactly the lifetime erasure that safe Rust rules
+//! out. What is hoisted for them instead is the spawn *frequency*:
+//! `ShardedSimulator` spawns once per `run()` call and keeps its workers
+//! parked on channels across every block of the run, and `replicate`
+//! spawns once per ensemble — never once per seed or per block. Work that
+//! is *owned* can go to persistent threads: `pp-serve`'s jobs own their
+//! engines (`Box<dyn Engine + Send>`), which move to a worker by value and
+//! back, so the server spawns its round workers once per server run,
+//! parks them between rounds, and still leases tokens here per round —
+//! a round hands work to no more parked workers than its lease grants.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

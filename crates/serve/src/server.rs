@@ -1,9 +1,9 @@
 //! The `pp serve` event loop: control plane, slice execution, snapshots.
 //!
-//! One control thread owns every engine and runs [`run`] — a loop
-//! alternating between two planes (slice execution fans out to pool
-//! workers, but all state transitions are decided and observed on the
-//! control thread):
+//! One control thread owns every engine between rounds and runs [`run`] —
+//! a loop alternating between two planes (slice execution fans out to
+//! parked workers, but all state transitions are decided and observed on
+//! the control thread):
 //!
 //! * **Control plane.** A reader thread forwards request lines over a
 //!   channel; the loop drains it between slices (and blocks on it when no
@@ -17,12 +17,15 @@
 //!   so a slice costs one virtual call and the per-interaction loops stay
 //!   monomorphized inside whichever tier the job chose. The round's
 //!   slices target pairwise-distinct engines, so they execute in
-//!   parallel on workers leased from the shared
-//!   [`pool`] (inline when the pool is exhausted);
-//!   every observable effect — charges, shock firings, progress events —
-//!   is applied after the round completes, strictly in grant order, so
-//!   the event stream is a function of the request stream alone, never
-//!   of the worker count.
+//!   parallel: on the control thread and on worker threads that `run`
+//!   spawns once, parks on channels between rounds and joins when it
+//!   returns. Each round leases tokens from the shared [`pool`], hands
+//!   slices to no more workers than the lease grants (all inline when the
+//!   pool is exhausted or the round has one slice), and moves each granted
+//!   job to its worker by value and back. Every observable effect —
+//!   charges, shock firings, progress events — is applied after the
+//!   round completes, strictly in grant order, so the event stream is a
+//!   function of the request stream alone, never of the worker count.
 //!
 //! Slices are clamped at a scheduled shock's `at` clock so the shock fires
 //! at exactly the requested step; pending snapshot requests are serviced
@@ -215,6 +218,18 @@ where
     R: BufRead + Send + 'static,
     W: Write,
 {
+    serve(input, out, cfg, build_job_engine)
+}
+
+/// Builds the engine for a job spec over `n` agents; [`run`] passes
+/// [`build_job_engine`], tests pass instrumented engines.
+type BuildEngine = fn(&JobSpec, usize) -> DivEngine;
+
+fn serve<R, W>(input: R, out: &mut W, cfg: Config, build: BuildEngine) -> i32
+where
+    R: BufRead + Send + 'static,
+    W: Write,
+{
     let (tx, rx) = mpsc::channel::<String>();
     // The reader thread is detached on purpose: it may sit blocked on a
     // live pipe when the loop decides to exit (explicit shutdown), and the
@@ -236,6 +251,7 @@ where
     let mut jobs: Vec<Job> = Vec::new();
     let mut pending: Vec<SnapReq> = Vec::new();
     let mut drr = Drr::new(cfg.quantum);
+    let mut workers = Workers::default();
     let mut completed: u64 = 0;
     let mut eof = false;
 
@@ -245,7 +261,8 @@ where
         // the same graceful semantics as input EOF.
         while !eof {
             match rx.try_recv() {
-                Ok(line) => match handle_line(&line, &mut jobs, &mut pending, &mut drr, out) {
+                Ok(line) => match handle_line(&line, &mut jobs, &mut pending, &mut drr, build, out)
+                {
                     Ok(Flow::Continue) => {}
                     Ok(Flow::Shutdown) => eof = true,
                     Err(code) => return code,
@@ -277,7 +294,8 @@ where
             }
             // Idle: block until the next request (or EOF).
             match rx.recv() {
-                Ok(line) => match handle_line(&line, &mut jobs, &mut pending, &mut drr, out) {
+                Ok(line) => match handle_line(&line, &mut jobs, &mut pending, &mut drr, build, out)
+                {
                     Ok(Flow::Continue) => {}
                     Ok(Flow::Shutdown) => eof = true,
                     Err(code) => return code,
@@ -317,7 +335,7 @@ where
             }
             slices.push((tenant, idx, burst));
         }
-        run_round(&mut jobs, &slices);
+        workers.run_round(&mut jobs, &slices);
 
         for (tenant, idx, burst) in &slices {
             let job = &mut jobs[*idx];
@@ -373,51 +391,142 @@ where
     }
 }
 
-/// Executes one round's slices — `(tenant, job index, burst)` triples
-/// over pairwise-distinct jobs — on workers leased from the shared
-/// engine pool, falling back to the caller's thread when the pool is
-/// exhausted (or the round has a single slice). Each job runs exactly
-/// its precomputed burst, so the post-round state is identical whichever
-/// path executes it; worker panics propagate through the scope join.
-fn run_round(jobs: &mut [Job], slices: &[(String, usize, u64)]) {
-    let burst_of: std::collections::BTreeMap<usize, u64> = slices
-        .iter()
-        .filter(|(_, _, burst)| *burst > 0)
-        .map(|(_, idx, burst)| (*idx, *burst))
-        .collect();
-    let mut work: Vec<(&mut Job, u64)> = jobs
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(i, job)| burst_of.get(&i).map(|&b| (job, b)))
-        .collect();
-    let lease = pool::lease(work.len().saturating_sub(1));
-    if lease.workers() == 0 {
-        for (job, burst) in work {
-            job.engine.run(burst);
-        }
-        return;
-    }
-    pp_obs::counter_add_dyn("serve.parallel_rounds", 1);
-    let threads = lease.workers() + 1;
-    std::thread::scope(|scope| {
-        let mut chunks: Vec<Vec<(&mut Job, u64)>> = Vec::new();
-        chunks.resize_with(threads, Vec::new);
-        for (i, item) in work.drain(..).enumerate() {
-            chunks[i % threads].push(item);
-        }
-        let mut chunks = chunks.into_iter();
-        let own = chunks.next().expect("threads >= 1");
-        for chunk in chunks {
-            scope.spawn(move || {
-                for (job, burst) in chunk {
-                    job.engine.run(burst);
+/// A batch of one round's slices handed to one thread: `(job index, job,
+/// burst)` triples, the jobs moved out of the server's list by value.
+type Batch = Vec<(usize, Job, u64)>;
+
+/// One parked round worker. It receives a [`Batch`], runs each job for its
+/// burst, and sends the batch back on a reply channel of its own, so a
+/// worker that dies mid-batch fails the control thread's `recv` instead of
+/// leaving it blocked.
+struct Worker {
+    batches: mpsc::Sender<Batch>,
+    replies: mpsc::Receiver<Batch>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl Worker {
+    fn spawn() -> Worker {
+        let (batches, inbox) = mpsc::channel::<Batch>();
+        let (outbox, replies) = mpsc::channel::<Batch>();
+        let handle = std::thread::Builder::new()
+            .name("pp-serve-worker".into())
+            .spawn(move || {
+                for mut batch in inbox {
+                    for (_, job, burst) in &mut batch {
+                        job.engine.run(*burst);
+                    }
+                    if outbox.send(batch).is_err() {
+                        break;
+                    }
                 }
-            });
+            })
+            .expect("cannot spawn a serve round worker");
+        Worker {
+            batches,
+            replies,
+            handle,
         }
-        for (job, burst) in own {
-            job.engine.run(burst);
+    }
+}
+
+/// The round workers of one [`run`]. A thread is spawned the first time a
+/// round's lease grants more workers than the set holds — so at most
+/// `pool::parallelism() − 1` per run — stays parked on its channel between
+/// rounds, and is joined when the set drops as `run` returns.
+#[derive(Default)]
+struct Workers {
+    threads: Vec<Worker>,
+}
+
+impl Workers {
+    /// Executes one round's slices — `(tenant, job index, burst)` triples
+    /// over pairwise-distinct jobs. The round leases `slices − 1` tokens
+    /// from the shared engine pool and returns them when it ends; the
+    /// granted slices go, in job-index order and by `i % threads`, to the
+    /// control thread and at most `lease.workers()` parked workers, each
+    /// granted job moving to its worker by value and back into its place
+    /// in `jobs`. With no tokens granted (pool exhausted, or a
+    /// single-slice round) every slice runs inline. Each job runs exactly
+    /// its precomputed burst, so the post-round state is identical
+    /// whichever thread executes it. A worker's panic is re-raised here.
+    fn run_round(&mut self, jobs: &mut Vec<Job>, slices: &[(String, usize, u64)]) {
+        let mut work: Vec<(usize, u64)> = slices
+            .iter()
+            .filter(|(_, _, burst)| *burst > 0)
+            .map(|(_, idx, burst)| (*idx, *burst))
+            .collect();
+        work.sort_unstable();
+        let lease = pool::lease(work.len().saturating_sub(1));
+        if lease.workers() == 0 {
+            for (idx, burst) in work {
+                jobs[idx].engine.run(burst);
+            }
+            return;
         }
-    });
+        pp_obs::counter_add_dyn("serve.parallel_rounds", 1);
+        let helpers = lease.workers();
+        while self.threads.len() < helpers {
+            self.threads.push(Worker::spawn());
+        }
+        // Taking the jobs from the highest index down leaves every lower
+        // index in place.
+        let mut granted: Batch = work
+            .iter()
+            .rev()
+            .map(|&(idx, burst)| (idx, jobs.remove(idx), burst))
+            .collect();
+        granted.reverse();
+        let threads = helpers + 1;
+        let mut batches: Vec<Batch> = (0..threads).map(|_| Vec::new()).collect();
+        for (i, slice) in granted.into_iter().enumerate() {
+            batches[i % threads].push(slice);
+        }
+        let mut batches = batches.into_iter();
+        let mut own = batches.next().expect("threads >= 1");
+        for (worker, batch) in self.threads.iter().zip(batches) {
+            worker
+                .batches
+                .send(batch)
+                .expect("a serve worker only exits when its run ends");
+        }
+        for (_, job, burst) in &mut own {
+            job.engine.run(*burst);
+        }
+        let mut done = own;
+        for w in 0..helpers {
+            match self.threads[w].replies.recv() {
+                Ok(batch) => done.extend(batch),
+                Err(_) => {
+                    // The worker dropped its reply channel mid-batch: it
+                    // panicked. Join it and re-raise on the control thread.
+                    let dead = self.threads.remove(w);
+                    if let Err(payload) = dead.handle.join() {
+                        std::panic::resume_unwind(payload);
+                    }
+                    unreachable!("a serve worker exits cleanly only when its run ends");
+                }
+            }
+        }
+        done.sort_unstable_by_key(|(idx, _, _)| *idx);
+        for (idx, job, _) in done {
+            jobs.insert(idx, job);
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for Worker {
+            batches, handle, ..
+        } in self.threads.drain(..)
+        {
+            // Closing the batch channel ends the worker's loop. A panic it
+            // raised was already re-raised by `run_round`.
+            drop(batches);
+            let _ = handle.join();
+        }
+    }
 }
 
 fn handle_line(
@@ -425,6 +534,7 @@ fn handle_line(
     jobs: &mut Vec<Job>,
     pending: &mut Vec<SnapReq>,
     drr: &mut Drr,
+    build: BuildEngine,
     out: &mut impl Write,
 ) -> Result<Flow, i32> {
     let req = match Request::parse_line(line) {
@@ -436,7 +546,7 @@ fn handle_line(
             if jobs.iter().any(|j| j.tenant == tenant && j.name == job) {
                 return Err(fail(out, format!("job {tenant}/{job} already queued")));
             }
-            let engine = build_job_engine(&spec, spec.n);
+            let engine = build(&spec, spec.n);
             emit(
                 out,
                 &Event::Accepted {
@@ -507,7 +617,7 @@ fn handle_line(
                     format!("job {}/{} already queued", file.tenant, file.job),
                 ));
             }
-            let mut engine = build_job_engine(&file.spec, file.engine.n as usize);
+            let mut engine = build(&file.spec, file.engine.n as usize);
             if let Err(e) = engine.restore_snapshot(&file.engine) {
                 return Err(fail(out, format!("snapshot `{path}` rejected: {e}")));
             }
@@ -724,5 +834,227 @@ fn finish_ready_jobs(
             },
         );
         *completed += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pp_core::AgentState;
+    use pp_engine::{Engine, EngineSnapshot, SnapshotError};
+    use std::cell::RefCell;
+    use std::collections::HashSet;
+    use std::io::Cursor;
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    /// Routes envelopes to a scratch directory and pins a 4-thread pool so
+    /// multi-slice rounds fan out even on a one-core machine (as the
+    /// integration tests do), then takes the test lock: the pool budget
+    /// is process-global, so these tests take turns leasing it.
+    fn setup() -> MutexGuard<'static, ()> {
+        static ENV: OnceLock<()> = OnceLock::new();
+        ENV.get_or_init(|| {
+            let dir = std::env::temp_dir().join(format!("pp_serve_unit_{}", std::process::id()));
+            std::env::set_var("PP_BENCH_DIR", dir);
+            std::env::set_var("PP_POOL_THREADS", "4");
+        });
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn submit(tenant: &str, steps: u64) -> String {
+        format!(
+            "{{\"schema_version\":1,\"op\":\"submit\",\"tenant\":\"{tenant}\",\"job\":\"j\",\
+             \"spec\":{{\"protocol\":\"diversification\",\"weights\":[1.0,2.0],\
+             \"topology\":\"complete\",\"n\":32,\"engine\":\"packed\",\"seed\":5,\
+             \"steps\":{steps},\"observe_every\":{steps},\"init\":\"balanced\",\"shock\":null}}}}\n"
+        )
+    }
+
+    /// A real engine whose `run` calls `hook` first.
+    struct Probe {
+        inner: DivEngine,
+        hook: fn(),
+    }
+
+    impl Engine for Probe {
+        type State = AgentState;
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn step_count(&self) -> u64 {
+            self.inner.step_count()
+        }
+        fn seed(&self) -> u64 {
+            self.inner.seed()
+        }
+        fn run(&mut self, steps: u64) {
+            (self.hook)();
+            self.inner.run(steps);
+        }
+        fn class_counts(&self) -> Vec<u64> {
+            self.inner.class_counts()
+        }
+        fn visit_states(&self, f: &mut dyn FnMut(usize, &AgentState)) {
+            self.inner.visit_states(f);
+        }
+        fn state(&self, u: usize) -> AgentState {
+            self.inner.state(u)
+        }
+        fn set_state(&mut self, u: usize, state: &AgentState) {
+            self.inner.set_state(u, state);
+        }
+        fn set_states(&mut self, states: &[AgentState]) {
+            self.inner.set_states(states);
+        }
+        fn push_agent(&mut self, state: &AgentState) {
+            self.inner.push_agent(state);
+        }
+        fn swap_remove_agent(&mut self, u: usize) {
+            self.inner.swap_remove_agent(u);
+        }
+        fn topology_name(&self) -> String {
+            self.inner.topology_name()
+        }
+        fn supports_resize(&self) -> bool {
+            self.inner.supports_resize()
+        }
+        fn save_snapshot(&mut self) -> EngineSnapshot {
+            self.inner.save_snapshot()
+        }
+        fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
+            self.inner.restore_snapshot(snapshot)
+        }
+    }
+
+    static RUN_THREADS: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+    thread_local! {
+        /// A clone of [`live_token`] held by every thread that ran a slice,
+        /// released only when that thread exits.
+        static HELD: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
+    }
+
+    fn live_token() -> &'static Arc<()> {
+        static TOKEN: OnceLock<Arc<()>> = OnceLock::new();
+        TOKEN.get_or_init(|| Arc::new(()))
+    }
+
+    fn record_thread() {
+        RUN_THREADS
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        HELD.with(|held| {
+            held.borrow_mut()
+                .get_or_insert_with(|| Arc::clone(live_token()));
+        });
+    }
+
+    fn recording_engine(spec: &JobSpec, n: usize) -> DivEngine {
+        Box::new(Probe {
+            inner: build_job_engine(spec, n),
+            hook: record_thread,
+        })
+    }
+
+    fn parallel_rounds() -> u64 {
+        serve_counters()
+            .into_iter()
+            .find(|(name, _)| name == "serve.parallel_rounds")
+            .map_or(0, |(_, v)| v)
+    }
+
+    #[test]
+    fn round_workers_are_parked_across_rounds_and_joined_at_return() {
+        let _turn = setup();
+        let requests = ["a", "b", "c"].map(|t| submit(t, 20 * 256)).concat();
+        // Two runs in one process, as the benchmark's traced run makes.
+        for _ in 0..2 {
+            RUN_THREADS.lock().unwrap().clear();
+            let rounds_before = parallel_rounds();
+            let mut events = Vec::new();
+            let cfg = Config { quantum: 256 };
+            let code = serve(
+                Cursor::new(requests.clone()),
+                &mut events,
+                cfg,
+                recording_engine,
+            );
+            assert_eq!(code, EXIT_OK, "{}", String::from_utf8_lossy(&events));
+
+            let rounds = parallel_rounds() - rounds_before;
+            assert!(rounds >= 10, "only {rounds} rounds fanned out");
+            let control = std::thread::current().id();
+            let workers: HashSet<ThreadId> = RUN_THREADS
+                .lock()
+                .unwrap()
+                .iter()
+                .copied()
+                .filter(|&id| id != control)
+                .collect();
+            assert!(!workers.is_empty(), "no slice ran off the control thread");
+            assert!(
+                workers.len() < pool::parallelism(),
+                "{} worker threads over {rounds} parallel rounds: respawned, not parked",
+                workers.len()
+            );
+            // Every worker that ran a slice holds a token clone until it
+            // exits; after dropping this thread's own, none may remain.
+            HELD.with(|held| held.borrow_mut().take());
+            assert_eq!(
+                Arc::strong_count(live_token()),
+                1,
+                "a round worker is still alive after run returned"
+            );
+        }
+    }
+
+    fn job(tenant: &str, hook: fn()) -> Job {
+        let Ok(Request::Submit { tenant, job, spec }) = Request::parse_line(&submit(tenant, 4096))
+        else {
+            unreachable!("the test request is well formed");
+        };
+        Job {
+            tenant,
+            name: job,
+            engine: Box::new(Probe {
+                inner: build_job_engine(&spec, spec.n),
+                hook,
+            }),
+            shock_applied: false,
+            next_observe: spec.observe_every,
+            start_clock: 0,
+            started: Instant::now(),
+            spec,
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_fails_the_round_instead_of_hanging_it() {
+        let _turn = setup();
+        fn fine() {}
+        fn broken() {
+            panic!("probe engine failed");
+        }
+        // Slice 0 runs on the control thread, slice 1 on the worker.
+        let mut jobs = vec![job("a", fine), job("b", broken)];
+        let slices = vec![("a".to_string(), 0, 1024), ("b".to_string(), 1, 1024)];
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Workers::default().run_round(&mut jobs, &slices);
+            }));
+            let message = outcome
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            tx.send(message).unwrap();
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the round blocked instead of failing");
+        assert_eq!(message.as_deref(), Some("probe engine failed"));
     }
 }
