@@ -111,20 +111,19 @@ impl EngineKind {
     /// dense-vs-dense numbers as an engine comparison.
     pub fn from_env() -> Self {
         match std::env::var("PP_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("agent") => EngineKind::Agent,
-            Ok(v) if v.eq_ignore_ascii_case("dense") => EngineKind::Dense,
-            Ok(v) if v.eq_ignore_ascii_case("packed") => EngineKind::Packed,
-            Ok(v) if v.eq_ignore_ascii_case("turbo") => EngineKind::Turbo,
-            Ok(v) if v.eq_ignore_ascii_case("sharded") => EngineKind::Sharded,
-            Ok(v) if v.eq_ignore_ascii_case("vec") => EngineKind::Vec,
             Err(_) => EngineKind::Dense,
-            Ok(v) => {
+            Ok(v) => EngineKind::from_name(&v.to_ascii_lowercase()).unwrap_or_else(|| {
                 panic!(
                     "PP_ENGINE must be `agent`, `dense`, `packed`, `turbo`, `sharded`, \
                      or `vec`, got `{v}`"
                 )
-            }
+            }),
         }
+    }
+
+    /// The tier whose [`name`](EngineKind::name) is exactly `name`, if any.
+    pub fn from_name(name: &str) -> Option<Self> {
+        ALL_ENGINES.into_iter().find(|kind| kind.name() == name)
     }
 
     /// The nearest tier with **per-agent identity**: [`Dense`] maps to

@@ -125,21 +125,6 @@ impl<P: CountProtocol> DenseSimulator<P> {
         }
     }
 
-    /// Overrides the τ-leap tolerance: smaller `ε` means smaller batches and
-    /// tighter agreement with the exact dynamics.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < ε <= 1`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(
-            epsilon > 0.0 && epsilon <= 1.0,
-            "epsilon must be in (0, 1], got {epsilon}"
-        );
-        self.epsilon = epsilon;
-        self
-    }
-
     /// Advances the clock by exactly `steps` time-steps of the agent-model
     /// schedule (each step = one scheduled agent observing one partner).
     pub fn run(&mut self, steps: u64) {

@@ -66,7 +66,7 @@
 //!   is then at most one block stale, a staleness bias of
 //!   `O(B/n × cut-fraction)` parallel rounds (≤ 1/16 round at the
 //!   default block even at full cut), verified against the bit-exact
-//!   engines by the second `EquivalenceSuite` battery in
+//!   engines by `snapshot_reads_match_packed_on_high_cut_families` in
 //!   `tests/sharded_equivalence.rs`. The gather costs `O(n)` per block —
 //!   16 words per step at the default block length.
 //!

@@ -135,18 +135,8 @@ pub fn check_ident(s: &str, what: &str) -> Result<(), String> {
 
 /// Parses an engine tier name (the [`EngineKind::name`] vocabulary).
 pub fn engine_from_name(s: &str) -> Result<EngineKind, String> {
-    Ok(match s {
-        "agent" => EngineKind::Agent,
-        "dense" => EngineKind::Dense,
-        "packed" => EngineKind::Packed,
-        "turbo" => EngineKind::Turbo,
-        "sharded" => EngineKind::Sharded,
-        "vec" => EngineKind::Vec,
-        other => {
-            return Err(format!(
-                "engine must be one of agent, dense, packed, turbo, sharded, vec; got `{other}`"
-            ))
-        }
+    EngineKind::from_name(s).ok_or_else(|| {
+        format!("engine must be one of agent, dense, packed, turbo, sharded, vec; got `{s}`")
     })
 }
 
@@ -937,6 +927,20 @@ mod tests {
             "\"shock\":{\"kind\":\"inject_colour\",\"at\":5000}}"
         )
         .to_string()
+    }
+
+    #[test]
+    fn every_engine_name_round_trips_and_matching_is_exact() {
+        for kind in pp_bench::runner::ALL_ENGINES {
+            assert_eq!(engine_from_name(kind.name()), Ok(kind));
+        }
+        assert_eq!(
+            engine_from_name("Turbo"),
+            Err(
+                "engine must be one of agent, dense, packed, turbo, sharded, vec; got `Turbo`"
+                    .to_string()
+            )
+        );
     }
 
     #[test]

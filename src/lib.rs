@@ -128,7 +128,6 @@
 //! | `PP_POOL_THREADS` | `pp-engine` worker pool | caps the shared thread pool the sharded tier and `replicate` use (default: available parallelism) |
 //! | `PP_OBS` | `pp-obs` (`init_from_env`) | recorder sink: unset/`off`, `table` (stderr table at exit), `json` (dump embedded in the result envelope), `jsonl` (events streamed to stderr); the recorder is compiled into every build, so any binary records when this is set |
 //! | `PP_BENCH_DIR` | `pp-bench` output writer | directory for `BENCH_<name>.json` envelopes (created if missing; default: working directory) |
-//! | `PP_EQUIV_SEEDS` | equivalence test suites | seed-ensemble size for the statistical batteries (default 48) |
 //! | `PP_CHECK_INJECT` | `pp-check` | `1` switches in the deliberately-bugged protocol — the model-check gate must fail closed (exit 3) |
 //! | `PP_PERF_ASSERT` | `pp-bench` throughput tests | any value opts the release-build test suite into asserting engine speed *ratios* (packed ≥ agent etc.), not just progress |
 //! | `PP_SERVE_QUANTUM` | `pp-serve` | deficit-round-robin slice quantum in steps (default 2048) — smaller interleaves tenants more finely |

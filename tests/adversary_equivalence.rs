@@ -21,12 +21,12 @@
 //! sabotaged run whose churn resets draw colours from `0..k−1` instead
 //! of `0..k` — the classic off-by-one range bug a port introduces, which
 //! slowly drains the never-reinjected colour — must be rejected at
-//! `p < 10⁻⁶`.
-//!
-//! `PP_EQUIV_SEEDS` (default 48, which `cargo test` runs) scales the
-//! ensembles. Keep it at 20 or above (below the harness's variance-test
-//! floor the moment checks drop out).
+//! `p < 10⁻⁶`. The ensembles use the fixed 48-seed count and the
+//! rejection check of the shared harness in `tests/common`.
 
+mod common;
+
+use common::{assert_rejected_below_1e6, balanced_colours, N, SEEDS};
 use pp_adversary::{error_under_churn, recovery_time, Churn, Schedule, Shock};
 use pp_baselines::Voter;
 use pp_core::{
@@ -40,15 +40,6 @@ use pp_graph::{Complete, Torus2d};
 use pp_stats::EquivalenceSuite;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const N: usize = 256;
-
-fn equiv_seeds() -> u64 {
-    std::env::var("PP_EQUIV_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
 
 fn weights3() -> Weights {
     Weights::uniform(3)
@@ -258,8 +249,7 @@ where
     T: pp_graph::Topology + Clone,
 {
     let w = weights3();
-    let seeds = equiv_seeds();
-    let packed: Vec<DivRecord> = replicate(0..seeds, |s| {
+    let packed: Vec<DivRecord> = replicate(0..SEEDS, |s| {
         let states = init::all_dark_balanced(N, &w);
         let sim = PackedSimulator::new(
             Diversification::new(w.clone()),
@@ -269,7 +259,7 @@ where
         );
         div_record(sim, 5_000 + s, false)
     });
-    let turbo: Vec<DivRecord> = replicate(0..seeds, |s| {
+    let turbo: Vec<DivRecord> = replicate(0..SEEDS, |s| {
         let states = init::all_dark_balanced(N, &w);
         let sim = TurboSimulator::<_, _, u8>::new(
             Diversification::new(w.clone()),
@@ -350,11 +340,10 @@ fn voter_churn_turbo_matches_packed() {
     // drifts colours extinct, churn keeps resurrecting them. Both engines
     // must produce the same equilibrium statistics.
     let k = 4usize;
-    let seeds = equiv_seeds();
     let mut suite = EquivalenceSuite::new("adversary turbo-vs-packed: voter churn", 1e-3);
     for (name, torus) in [("complete", None), ("torus", Some(Torus2d::new(16, 16)))] {
-        let packed: Vec<(f64, f64, u32)> = replicate(0..seeds, |s| {
-            let init: Vec<Colour> = (0..N).map(|u| Colour::new(u % k)).collect();
+        let packed: Vec<(f64, f64, u32)> = replicate(0..SEEDS, |s| {
+            let init = balanced_colours(k);
             match &torus {
                 None => voter_record(
                     PackedSimulator::new(Voter, Complete::new(N), &init, 40_000 + s),
@@ -366,8 +355,8 @@ fn voter_churn_turbo_matches_packed() {
                 ),
             }
         });
-        let turbo: Vec<(f64, f64, u32)> = replicate(0..seeds, |s| {
-            let init: Vec<Colour> = (0..N).map(|u| Colour::new(u % k)).collect();
+        let turbo: Vec<(f64, f64, u32)> = replicate(0..SEEDS, |s| {
+            let init = balanced_colours(k);
             match &torus {
                 None => voter_record(
                     TurboSimulator::<_, _, u8>::new(Voter, Complete::new(N), &init, 800_000 + s),
@@ -432,19 +421,5 @@ fn biased_reset_churn_bug_is_rejected() {
         Complete::new(N),
         true,
     );
-    assert!(
-        !suite.passed(),
-        "biased churn resets were not detected:\n{}",
-        suite.render()
-    );
-    let min_p = suite
-        .failures()
-        .iter()
-        .map(|(_, r)| r.p_value)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        min_p < 1e-6,
-        "biased churn resets only rejected at p = {min_p:.3e} (need < 1e-6):\n{}",
-        suite.render()
-    );
+    assert_rejected_below_1e6(&suite, "the biased churn reset law");
 }

@@ -1,17 +1,13 @@
 //! Sharded-vs-packed statistical equivalence, protocol × topology family.
 //!
-//! The graph-partitioned engine's contract is distributional: its shard
-//! decomposition — per-shard counter streams plus the deterministic
-//! block-boundary merge of cross-shard interactions — must simulate the
-//! *same Markov chain* as the bit-exact engines. This suite is that
-//! contract test, the sharded sibling of `tests/turbo_equivalence.rs`:
-//! for every protocol (Diversification + the four consensus baselines) on
-//! every topology family (complete, ring, torus, random-regular), the
-//! exact packed engine and a `ShardedSimulator` with 4 shards run an
-//! ensemble of independent seeds, and the per-seed observables are
-//! compared with chi-square (terminal probe-state histograms), KS
-//! (hit-time distributions), and moment checks (summary trajectories at
-//! checkpoints) under one Bonferroni-corrected threshold.
+//! The graph-partitioned engine's shard decomposition — per-shard counter
+//! streams plus the deterministic block-boundary merge of cross-shard
+//! interactions — must simulate the same Markov chain as the bit-exact
+//! engines. For every protocol (Diversification + the four consensus
+//! baselines) on every topology family (complete, ring, torus,
+//! random-regular), the packed engine and a `ShardedSimulator` with 4
+//! shards run the shared 48-seed ensemble through the battery in
+//! `tests/common`.
 //!
 //! The suite deliberately includes the **complete graph**, the hardest
 //! case for both cross-shard read relaxations: its strided partition
@@ -30,588 +26,97 @@
 //!
 //! The sharded trajectories are a function of `(seed, shards, block,
 //! read mode)` only — never of thread count — so the suite is
-//! deterministic on any machine. `PP_EQUIV_SEEDS` (default 48, which
-//! `cargo test` runs) scales the ensemble. Keep it at 20 or above (below
-//! the harness's `VARIANCE_TEST_MIN_N` the variance checks are dropped
-//! and the chi-square histograms starve).
+//! deterministic on any machine.
 
-use pp_baselines::{AntiVoter, ThreeMajority, TwoChoices, Voter};
-use pp_core::{init, packed::config_stats_from_words, Colour, Diversification, Weights};
-use pp_engine::{replicate, Engine, PackedProtocol, PackedSimulator, ReadMode, ShardedSimulator};
-use pp_graph::{random_regular, Complete, Csr, Cycle, Topology, Torus2d};
+mod common;
+
+use common::{
+    assert_rejected_below_1e6, colour0_extinct, consensus, diversification, families,
+    family_battery, Candidate, Cell, FamilyTopo, Inject, Protocol, BLOCK, DIVERSIFICATION_STATS, N,
+};
+use pp_baselines::Voter;
+use pp_engine::ReadMode;
+use pp_graph::Complete;
 use pp_stats::EquivalenceSuite;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const N: usize = 256;
-/// Shards under test: enough that contiguous families have interior
-/// boundaries on every side and the strided complete graph defers most
-/// interactions.
-const SHARDS: usize = 4;
-/// Block length: divides `CHECK`, so observations land on merge
-/// boundaries and both engines observe fully reconciled states.
-const BLOCK: u64 = 32;
-/// Summary/hit-predicate evaluation stride; budget and checkpoints are
-/// multiples so both engines observe at identical steps.
-const CHECK: u64 = 128;
-
-fn equiv_seeds() -> u64 {
-    std::env::var("PP_EQUIV_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
-fn budget() -> u64 {
-    // ≈ 25·n·ln n, rounded to the evaluation stride.
-    let raw = (25.0 * N as f64 * (N as f64).ln()) as u64;
-    raw / CHECK * CHECK
-}
-
-/// One seed's reduced observables.
-struct SeedRecord {
-    probe: u32,
-    hit_time: f64,
-    /// `traj[checkpoint][stat]`: every summary statistic at every
-    /// checkpoint.
-    traj: Vec<Vec<f64>>,
-}
-
-/// The minimal engine surface the driver needs; implemented for the exact
-/// packed engine and the sharded engine (with `u8` storage, so the narrow
-/// word path is exercised by the statistical contract too).
-trait EngineRun {
-    fn advance(&mut self, steps: u64);
-    fn states_wide(&self) -> Vec<u32>;
-}
-
-impl<P: PackedProtocol, T: Topology> EngineRun for PackedSimulator<P, T>
-where
-    P::State: Send + Sync,
-{
-    fn advance(&mut self, steps: u64) {
-        self.run(steps);
-    }
-
-    fn states_wide(&self) -> Vec<u32> {
-        self.states_packed().to_vec()
-    }
-}
-
-impl<P: PackedProtocol, T: Topology> EngineRun for ShardedSimulator<P, T, u8>
-where
-    P::State: Send + Sync,
-{
-    fn advance(&mut self, steps: u64) {
-        self.run(steps);
-    }
-
-    fn states_wide(&self) -> Vec<u32> {
-        self.states_packed()
-    }
-}
-
-/// Drives one run: advances in `CHECK`-step chunks, records the first
-/// chunk boundary where `hit` holds (capped at the budget) and the
-/// summary statistic at each checkpoint.
-fn run_seed(
-    engine: &mut dyn EngineRun,
-    checkpoints: &[u64],
-    stat: &(dyn Fn(&[u32]) -> Vec<f64> + Sync),
-    hit: &(dyn Fn(&[u32]) -> bool + Sync),
-) -> SeedRecord {
-    let budget = budget();
-    let mut hit_at: Option<u64> = None;
-    let mut traj = Vec::with_capacity(checkpoints.len());
-    let mut next_cp = 0usize;
-    let mut at = 0u64;
-    let mut wide = Vec::new();
-    while at < budget {
-        engine.advance(CHECK);
-        at += CHECK;
-        wide = engine.states_wide();
-        if hit_at.is_none() && hit(&wide) {
-            hit_at = Some(at);
-        }
-        while next_cp < checkpoints.len() && at >= checkpoints[next_cp] {
-            traj.push(stat(&wide));
-            next_cp += 1;
-        }
-    }
-    SeedRecord {
-        probe: wide[0],
-        hit_time: hit_at.unwrap_or(budget) as f64,
-        traj,
-    }
-}
-
-/// Histogram of probe states over `categories` cells.
-fn probe_counts(records: &[SeedRecord], categories: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; categories];
-    for r in records {
-        counts[r.probe as usize] += 1;
-    }
-    counts
-}
-
-/// Which canonical sharded-scheduler bug a cell injects (power
-/// demonstrations only; `None` for the contract batteries).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Inject {
-    None,
-    /// Every queued boundary interaction applied twice in the merge.
-    DoubleCount,
-    /// One granted step per block migrated to shard 0 (sums preserved).
-    SplitOffByOne,
-}
-
-/// Per-cell sharded-engine configuration.
-#[derive(Clone, Copy)]
-struct CellCfg {
-    /// `None` = the partition layout's default read mode.
-    mode: Option<ReadMode>,
-    inject: Inject,
-    block: u64,
-}
-
-impl Default for CellCfg {
-    fn default() -> Self {
-        CellCfg {
-            mode: None,
-            inject: Inject::None,
-            block: BLOCK,
-        }
-    }
-}
-
-fn sharded_engine<P, T>(
-    protocol: P,
-    topology: T,
-    init: &[P::State],
-    seed: u64,
-    cfg: CellCfg,
-) -> ShardedSimulator<P, T, u8>
-where
-    P: PackedProtocol,
-    T: Topology,
-{
-    let mut sim = ShardedSimulator::<_, _, u8>::new(protocol, topology, init, seed)
-        .with_layout(SHARDS, cfg.block);
-    if let Some(mode) = cfg.mode {
-        sim = sim.with_read_mode(mode);
-    }
-    match cfg.inject {
-        Inject::None => {}
-        Inject::DoubleCount => sim.inject_boundary_double_count(true),
-        Inject::SplitOffByOne => sim.inject_split_off_by_one(true),
-    }
-    sim
-}
-
-/// Runs one protocol × family cell on both engines and records the full
-/// test battery into `suite`. `cfg` picks the sharded engine's read mode
-/// and any injected bug (power demonstration).
-#[allow(clippy::too_many_arguments)]
-fn compare_cell<P, T>(
-    suite: &mut EquivalenceSuite,
-    label: &str,
-    cell: u64,
-    protocol: P,
-    topology: T,
-    init: Vec<P::State>,
-    categories: usize,
-    stat_names: &[&str],
-    stat: impl Fn(&[u32]) -> Vec<f64> + Sync,
-    hit: impl Fn(&[u32]) -> bool + Sync,
-    cfg: CellCfg,
-) where
-    P: PackedProtocol + Clone,
-    P::State: Clone + Send + Sync,
-    T: Topology + Clone,
-{
-    let seeds = equiv_seeds();
-    let b = budget();
-    let checkpoints = [b / 2, b];
-    let stat = &stat;
-    let hit = &hit;
-    let packed: Vec<SeedRecord> = replicate(0..seeds, |s| {
-        let mut sim =
-            PackedSimulator::new(protocol.clone(), topology.clone(), &init, cell * 1_000 + s);
-        run_seed(&mut sim, &checkpoints, stat, hit)
-    });
-    let sharded: Vec<SeedRecord> = replicate(0..seeds, |s| {
-        let mut sim = sharded_engine(
-            protocol.clone(),
-            topology.clone(),
-            &init,
-            700_000 + cell * 1_000 + s,
-            cfg,
-        );
-        run_seed(&mut sim, &checkpoints, stat, hit)
-    });
-
-    suite.check_counts(
-        format!("{label}: terminal probe-state histogram"),
-        &probe_counts(&packed, categories),
-        &probe_counts(&sharded, categories),
-    );
-    let times = |rs: &[SeedRecord]| -> Vec<f64> { rs.iter().map(|r| r.hit_time).collect() };
-    suite.check_distribution(
-        format!("{label}: hit-time distribution"),
-        &times(&packed),
-        &times(&sharded),
-    );
-    for (i, &cp) in checkpoints.iter().enumerate() {
-        for (j, stat_name) in stat_names.iter().enumerate() {
-            let col = |rs: &[SeedRecord]| -> Vec<f64> { rs.iter().map(|r| r.traj[i][j]).collect() };
-            let (pa, sh) = (col(&packed), col(&sharded));
-            suite.check_moments(format!("{label}: {stat_name} @ step {cp}"), &pa, &sh);
-            suite.check_distribution(format!("{label}: {stat_name} @ step {cp} [KS]"), &pa, &sh);
-        }
-    }
-}
-
-/// The four topology families of the acceptance criteria, at `n = 256`.
-fn families(cell_seed: u64) -> Vec<(&'static str, FamilyTopo)> {
-    let mut rng = StdRng::seed_from_u64(900 + cell_seed);
-    vec![
-        ("complete", FamilyTopo::Complete(Complete::new(N))),
-        ("ring", FamilyTopo::Cycle(Cycle::new(N))),
-        ("torus", FamilyTopo::Torus(Torus2d::new(16, 16))),
-        (
-            "random-regular",
-            FamilyTopo::Csr(random_regular(N, 8, &mut rng).to_csr()),
-        ),
-    ]
-}
-
-/// Concrete family storage so each cell stays fully monomorphized.
-#[derive(Clone)]
-enum FamilyTopo {
-    Complete(Complete),
-    Cycle(Cycle),
-    Torus(Torus2d),
-    Csr(Csr),
-}
-
-/// Dispatches one cell over the family enum.
-#[allow(clippy::too_many_arguments)]
-fn compare_on_family<P>(
-    suite: &mut EquivalenceSuite,
-    label: &str,
-    cell: u64,
-    protocol: P,
-    family: FamilyTopo,
-    init: Vec<P::State>,
-    categories: usize,
-    stat_names: &[&str],
-    stat: impl Fn(&[u32]) -> Vec<f64> + Sync + Clone,
-    hit: impl Fn(&[u32]) -> bool + Sync + Clone,
-    cfg: CellCfg,
-) where
-    P: PackedProtocol + Clone,
-    P::State: Clone + Send + Sync,
-{
-    match family {
-        FamilyTopo::Complete(t) => compare_cell(
-            suite, label, cell, protocol, t, init, categories, stat_names, stat, hit, cfg,
-        ),
-        FamilyTopo::Cycle(t) => compare_cell(
-            suite, label, cell, protocol, t, init, categories, stat_names, stat, hit, cfg,
-        ),
-        FamilyTopo::Torus(t) => compare_cell(
-            suite, label, cell, protocol, t, init, categories, stat_names, stat, hit, cfg,
-        ),
-        FamilyTopo::Csr(t) => compare_cell(
-            suite, label, cell, protocol, t, init, categories, stat_names, stat, hit, cfg,
-        ),
-    }
-}
-
-/// Balanced colour assignment for the consensus baselines.
-fn balanced_colours(k: usize) -> Vec<Colour> {
-    (0..N).map(|u| Colour::new(u % k)).collect()
-}
-
-/// Fraction of agents holding colour 0 (consensus-baseline summary).
-fn colour0_fraction(wide: &[u32]) -> f64 {
-    wide.iter().filter(|&&p| p == 0).count() as f64 / wide.len() as f64
-}
-
-/// Fraction of dark agents (Diversification shade observable — sensitive
-/// to rate bugs that colour-based statistics cannot see).
-fn dark_fraction(wide: &[u32]) -> f64 {
-    wide.iter().filter(|&&p| p & 1 == 1).count() as f64 / wide.len() as f64
-}
-
-/// Fraction held by the currently largest colour among `k`.
-fn max_colour_fraction(wide: &[u32], k: usize) -> f64 {
-    let mut counts = vec![0usize; k];
-    for &p in wide {
-        counts[p as usize] += 1;
-    }
-    counts.into_iter().max().unwrap_or(0) as f64 / wide.len() as f64
-}
-
-/// Number of colours of `k` still alive.
-fn alive_colours(wide: &[u32], k: usize) -> f64 {
-    let mut alive = vec![false; k];
-    for &p in wide {
-        alive[p as usize] = true;
-    }
-    alive.iter().filter(|&&a| a).count() as f64
-}
-
-/// Whether some colour of `k` has gone extinct (consensus-baseline hit
-/// event).
-fn some_colour_extinct(wide: &[u32], k: usize) -> bool {
-    let mut alive = vec![false; k];
-    for &p in wide {
-        alive[p as usize] = true;
-    }
-    alive.iter().any(|&a| !a)
-}
 
 #[test]
 fn diversification_sharded_matches_packed_on_all_families() {
-    let w = Weights::new(vec![1.0, 1.0, 2.0, 4.0]).unwrap();
-    let k = w.len();
-    let mut suite = EquivalenceSuite::new("sharded-vs-packed: diversification", 1e-3);
-    for (i, (name, family)) in families(0).into_iter().enumerate() {
-        let w_stat = w.clone();
-        let w_hit = w.clone();
-        compare_on_family(
-            &mut suite,
-            &format!("diversification/{name}"),
-            i as u64,
-            Diversification::new(w.clone()),
-            family,
-            init::all_dark_balanced(N, &w),
-            2 * k,
-            &["diversity error", "dark fraction", "colour-0 fraction"],
-            move |wide| {
-                vec![
-                    config_stats_from_words(wide, k).max_diversity_error(&w_stat),
-                    dark_fraction(wide),
-                    wide.iter().filter(|&&p| p >> 1 == 0).count() as f64 / wide.len() as f64,
-                ]
-            },
-            move |wide| config_stats_from_words(wide, k).max_diversity_error(&w_hit) < 0.25,
-            CellCfg::default(),
-        );
-    }
-    suite.assert_pass();
+    family_battery(Protocol::Diversification, Candidate::SHARDED).assert_pass();
 }
 
 #[test]
 fn voter_sharded_matches_packed_on_all_families() {
-    let k = 4;
-    let mut suite = EquivalenceSuite::new("sharded-vs-packed: voter", 1e-3);
-    for (i, (name, family)) in families(1).into_iter().enumerate() {
-        compare_on_family(
-            &mut suite,
-            &format!("voter/{name}"),
-            10 + i as u64,
-            Voter,
-            family,
-            balanced_colours(k),
-            k,
-            &["colour-0 fraction", "max colour fraction", "alive colours"],
-            move |wide| {
-                vec![
-                    colour0_fraction(wide),
-                    max_colour_fraction(wide, k),
-                    alive_colours(wide, k),
-                ]
-            },
-            move |wide| some_colour_extinct(wide, k),
-            CellCfg::default(),
-        );
-    }
-    suite.assert_pass();
+    family_battery(Protocol::Voter, Candidate::SHARDED).assert_pass();
 }
 
 #[test]
 fn two_choices_sharded_matches_packed_on_all_families() {
-    let k = 4;
-    let mut suite = EquivalenceSuite::new("sharded-vs-packed: 2-choices", 1e-3);
-    for (i, (name, family)) in families(2).into_iter().enumerate() {
-        compare_on_family(
-            &mut suite,
-            &format!("2-choices/{name}"),
-            20 + i as u64,
-            TwoChoices,
-            family,
-            balanced_colours(k),
-            k,
-            &["colour-0 fraction", "max colour fraction", "alive colours"],
-            move |wide| {
-                vec![
-                    colour0_fraction(wide),
-                    max_colour_fraction(wide, k),
-                    alive_colours(wide, k),
-                ]
-            },
-            move |wide| some_colour_extinct(wide, k),
-            CellCfg::default(),
-        );
-    }
-    suite.assert_pass();
+    family_battery(Protocol::TwoChoices, Candidate::SHARDED).assert_pass();
 }
 
 #[test]
 fn three_majority_sharded_matches_packed_on_all_families() {
-    let k = 4;
-    let mut suite = EquivalenceSuite::new("sharded-vs-packed: 3-majority", 1e-3);
-    for (i, (name, family)) in families(3).into_iter().enumerate() {
-        compare_on_family(
-            &mut suite,
-            &format!("3-majority/{name}"),
-            30 + i as u64,
-            ThreeMajority,
-            family,
-            balanced_colours(k),
-            k,
-            &["colour-0 fraction", "max colour fraction", "alive colours"],
-            move |wide| {
-                vec![
-                    colour0_fraction(wide),
-                    max_colour_fraction(wide, k),
-                    alive_colours(wide, k),
-                ]
-            },
-            move |wide| some_colour_extinct(wide, k),
-            CellCfg::default(),
-        );
-    }
-    suite.assert_pass();
+    family_battery(Protocol::ThreeMajority, Candidate::SHARDED).assert_pass();
 }
 
 #[test]
 fn anti_voter_sharded_matches_packed_on_all_families() {
-    // Anti-voter never reaches consensus; the hit event is the first
-    // noticeable excursion of the colour-0 count from the half/half
-    // equilibrium.
-    let excursion = (N as f64).sqrt() / N as f64; // 1·√n agents, as a fraction
-    let mut suite = EquivalenceSuite::new("sharded-vs-packed: anti-voter", 1e-3);
-    for (i, (name, family)) in families(4).into_iter().enumerate() {
-        compare_on_family(
-            &mut suite,
-            &format!("anti-voter/{name}"),
-            40 + i as u64,
-            AntiVoter,
-            family,
-            balanced_colours(2),
-            2,
-            &["colour-0 fraction"],
-            move |wide| vec![colour0_fraction(wide)],
-            move |wide| (colour0_fraction(wide) - 0.5).abs() >= excursion,
-            CellCfg::default(),
-        );
-    }
-    suite.assert_pass();
+    family_battery(Protocol::AntiVoter, Candidate::SHARDED).assert_pass();
 }
 
 #[test]
 fn snapshot_reads_match_packed_on_high_cut_families() {
-    // The snapshot-read bias battery of the acceptance criteria: on the
-    // high-cut families — the complete graph (strided, ~3/4 cut) and a
-    // random-regular expander (contiguous numbering, cut ≈ (S−1)/S) —
-    // block-start snapshot reads must stay within the O(B/n × cut)
-    // staleness bound, i.e. statistically indistinguishable from the
-    // bit-exact engine at the harness's resolution. Forcing the mode
-    // covers both monomorphized snapshot paths (strided × snapshot and
-    // contiguous × snapshot).
-    let w = Weights::new(vec![1.0, 1.0, 2.0, 4.0]).unwrap();
-    let k = w.len();
+    // The snapshot-read bias battery: on the high-cut families — the
+    // complete graph (strided, ~3/4 cut) and a random-regular expander
+    // (contiguous numbering, cut ≈ (S−1)/S) — block-start snapshot reads
+    // must stay within the O(B/n × cut) staleness bound, i.e.
+    // statistically indistinguishable from the bit-exact engine at the
+    // harness's resolution. Forcing the mode covers both monomorphized
+    // snapshot paths (strided × snapshot and contiguous × snapshot).
     let mut suite = EquivalenceSuite::new("sharded snapshot reads vs packed", 1e-3);
-    let snapshot = CellCfg {
+    let candidate = Candidate::Sharded {
         mode: Some(ReadMode::Snapshot),
-        ..CellCfg::default()
+        block: BLOCK,
+        inject: Inject::None,
     };
     for (i, (name, family)) in families(5).into_iter().enumerate() {
         if !matches!(family, FamilyTopo::Complete(_) | FamilyTopo::Csr(_)) {
             continue;
         }
-        let w_stat = w.clone();
-        let w_hit = w.clone();
-        compare_on_family(
-            &mut suite,
-            &format!("diversification/{name} [snapshot reads]"),
-            50 + i as u64,
-            Diversification::new(w.clone()),
-            family,
-            init::all_dark_balanced(N, &w),
-            2 * k,
-            &["diversity error", "dark fraction"],
-            move |wide| {
-                vec![
-                    config_stats_from_words(wide, k).max_diversity_error(&w_stat),
-                    dark_fraction(wide),
-                ]
-            },
-            move |wide| config_stats_from_words(wide, k).max_diversity_error(&w_hit) < 0.25,
-            snapshot,
-        );
+        let cell = Cell {
+            label: format!("diversification/{name} [snapshot reads]"),
+            cell: 50 + i as u64,
+            candidate,
+        };
+        diversification(&mut suite, &cell, family, &DIVERSIFICATION_STATS[..2]);
     }
     suite.assert_pass();
 }
 
-/// Asserts that `suite` rejected with at least one failure below 10⁻⁶.
-fn assert_rejected_below_1e6(suite: &EquivalenceSuite, what: &str) {
-    assert!(
-        !suite.passed(),
-        "{what} was not detected:\n{}",
-        suite.render()
-    );
-    let min_p = suite
-        .failures()
-        .iter()
-        .map(|(_, r)| r.p_value)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        min_p < 1e-6,
-        "{what} only rejected at p = {min_p:.3e} (need < 1e-6):\n{}",
-        suite.render()
-    );
-}
-
 #[test]
 fn boundary_double_count_bug_is_rejected() {
-    // Power demonstration (acceptance criterion): with the injected
-    // reconciliation bug — every queued boundary interaction applied
-    // twice — the harness must reject equivalence at p < 10⁻⁶. The
-    // complete graph is used because its strided partition sends ~3/4 of
-    // interactions cross-shard, the worst case a real reconciliation bug
-    // would corrupt; the read mode is pinned to `Defer` because the
-    // merge is the code this bug lives in (the strided default is
-    // snapshot reads, which have no merge).
-    let w = Weights::new(vec![1.0, 1.0, 2.0, 4.0]).unwrap();
-    let k = w.len();
+    // Power demonstration: with the injected reconciliation bug — every
+    // queued boundary interaction applied twice — the harness must
+    // reject equivalence at p < 10⁻⁶. The complete graph is used because
+    // its strided partition sends ~3/4 of interactions cross-shard, the
+    // worst case a real reconciliation bug would corrupt; the read mode
+    // is pinned to `Defer` because the merge is the code this bug lives
+    // in (the strided default is snapshot reads, which have no merge).
     let mut suite = EquivalenceSuite::new("sharded double-count injection", 1e-3);
-    let w_stat = w.clone();
-    let w_hit = w.clone();
-    compare_cell(
-        &mut suite,
-        "diversification/complete [double-counted boundaries]",
-        60,
-        Diversification::new(w.clone()),
-        Complete::new(N),
-        init::all_dark_balanced(N, &w),
-        2 * k,
-        &["diversity error", "dark fraction"],
-        move |wide| {
-            vec![
-                config_stats_from_words(wide, k).max_diversity_error(&w_stat),
-                dark_fraction(wide),
-            ]
-        },
-        move |wide| config_stats_from_words(wide, k).max_diversity_error(&w_hit) < 0.25,
-        CellCfg {
+    let cell = Cell {
+        label: "diversification/complete [double-counted boundaries]".into(),
+        cell: 60,
+        candidate: Candidate::Sharded {
             mode: Some(ReadMode::Defer),
-            inject: Inject::DoubleCount,
             block: BLOCK,
+            inject: Inject::DoubleCount,
         },
+    };
+    diversification(
+        &mut suite,
+        &cell,
+        FamilyTopo::Complete(Complete::new(N)),
+        &DIVERSIFICATION_STATS[..2],
     );
     assert_rejected_below_1e6(&suite, "double-counted boundary interactions");
 }
@@ -627,30 +132,22 @@ fn split_off_by_one_bug_is_rejected() {
     // agents initialised to colour 0 — voter dynamics turn the rate bias
     // into directional colour-0 extinction the harness must reject at
     // p < 10⁻⁶ (the hit event probes that colour directly).
-    let k = 4;
     let mut suite = EquivalenceSuite::new("sharded split off-by-one injection", 1e-3);
-    compare_cell(
-        &mut suite,
-        "voter/complete [off-by-one count split]",
-        61,
-        Voter,
-        Complete::new(N),
-        balanced_colours(k),
-        k,
-        &["colour-0 fraction", "max colour fraction", "alive colours"],
-        move |wide| {
-            vec![
-                colour0_fraction(wide),
-                max_colour_fraction(wide, k),
-                alive_colours(wide, k),
-            ]
-        },
-        move |wide| wide.iter().all(|&p| p != 0),
-        CellCfg {
+    let cell = Cell {
+        label: "voter/complete [off-by-one count split]".into(),
+        cell: 61,
+        candidate: Candidate::Sharded {
             mode: None,
-            inject: Inject::SplitOffByOne,
             block: 4,
+            inject: Inject::SplitOffByOne,
         },
+    };
+    consensus(
+        &mut suite,
+        &cell,
+        FamilyTopo::Complete(Complete::new(N)),
+        Voter,
+        colour0_extinct,
     );
     assert_rejected_below_1e6(&suite, "the off-by-one count split");
 }
