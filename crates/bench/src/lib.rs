@@ -27,7 +27,7 @@
 //! | `t15_sbm_blocks` | diversity within SBM communities | [`experiments::sbm`] |
 //! | `ablations` | design-choice knockouts | [`experiments::ablations`] |
 //! | `drift_lemmas` | Lemmas 2.9/2.10/4.1 contraction | [`experiments::drift`] |
-//! | `throughput` | agent vs dense engine steps/s | [`throughput`] |
+//! | `throughput` | steps/s of every engine tier, in seven parts | [`throughput`] |
 //!
 //! Every experiment takes a [`Preset`] so the same code runs as a fast smoke
 //! (`Preset::Quick`, used by `cargo bench` and tests) or at full scale
@@ -41,8 +41,8 @@
 //! Complete-graph experiments default to the count-based `pp-dense`
 //! engine (orders of magnitude faster at large `n`; see EXPERIMENTS.md
 //! for the measured speedup table); `PP_ENGINE` selects `agent`,
-//! `packed`, `turbo`, or `sharded` for any experiment, including the
-//! adversarial ones.
+//! `packed`, `turbo`, `sharded`, or `vec` for any experiment, including
+//! the adversarial ones.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

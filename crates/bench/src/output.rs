@@ -71,7 +71,7 @@ pub fn json_cell(cell: &str) -> String {
 /// Formats a finite float as a JSON number (Rust's shortest round-trip
 /// `Display`, with a `.0` appended to integral values so the cell stays
 /// visibly a float).
-fn format_f64(x: f64) -> String {
+pub fn format_f64(x: f64) -> String {
     let s = format!("{x}");
     if s.contains(['.', 'e', 'E']) {
         s

@@ -113,10 +113,8 @@ impl EngineKind {
         match std::env::var("PP_ENGINE") {
             Err(_) => EngineKind::Dense,
             Ok(v) => EngineKind::from_name(&v.to_ascii_lowercase()).unwrap_or_else(|| {
-                panic!(
-                    "PP_ENGINE must be `agent`, `dense`, `packed`, `turbo`, `sharded`, \
-                     or `vec`, got `{v}`"
-                )
+                let names = ALL_ENGINES.map(EngineKind::name).join(", ");
+                panic!("PP_ENGINE must be one of {names}; got `{v}`")
             }),
         }
     }

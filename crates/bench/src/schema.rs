@@ -1,7 +1,11 @@
-//! Minimal JSON parser and the result-JSON v1 schema validator.
+//! Minimal JSON parser, the fail-closed field reader, and the result-JSON
+//! v1 schema validator.
 //!
 //! The workspace has no serde (offline build), so `BENCH_*.json` documents
-//! are checked with a small hand-rolled recursive-descent parser. Every bin
+//! are checked with a small hand-rolled recursive-descent parser. Every
+//! untrusted document — these envelopes, and `pp-serve`'s requests, events
+//! and snapshot files — is read field by field through [`Fields`], the one
+//! place that decides how a field is typed and bounded. Every bin
 //! self-validates the envelope it is about to write (exit code 2 on
 //! violation), the `validate_bench` bin re-validates uploaded artifacts in
 //! CI, and the schema-conformance tests parse every bin's envelope through
@@ -345,125 +349,234 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Largest integer a JSON number (an `f64`) carries exactly; integer
+/// fields beyond it are rejected rather than silently rounded.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// `v` as a whole number in `[0, 2^53]`, if it is one.
+pub fn whole(v: &Value) -> Option<u64> {
+    let x = v.as_f64()?;
+    (x >= 0.0 && x.fract() == 0.0 && x <= MAX_EXACT_INT as f64).then_some(x as u64)
+}
+
+/// `v` as a `u64` word written `"0x"` + 16 hex digits, if it is one — the
+/// spelling for integers that an `f64` cannot carry exactly.
+pub fn hex_word(v: &Value) -> Option<u64> {
+    let digits = v.as_str()?.strip_prefix("0x")?;
+    if digits.len() != 16 || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(digits, 16).ok()
+}
+
+/// The fail-closed field reader every untrusted document goes through
+/// (result-JSON v1 envelopes, `pp-serve` requests, events, job specs and
+/// snapshot files), so each type and bound rule lives here once.
+///
+/// Construction rejects a non-object and any key outside the document's
+/// known set; a known set that contains `schema_version` also requires
+/// `"schema_version": 1`. Every accessor reads a required field unless
+/// it says otherwise, and its error names the field and the document.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    map: &'a BTreeMap<String, Value>,
+    what: String,
+}
+
+/// The non-empty string `key` of a tagged document (a request's `op`, an
+/// event's `event`), read before the tag selects the known key set.
+///
+/// # Errors
+///
+/// Returns an error if `doc` is not an object or `key` is not a
+/// non-empty string.
+pub fn tag<'a>(doc: &'a Value, what: &str, key: &str) -> Result<&'a str, String> {
+    Fields::open(doc, what.to_string())?.str(key)
+}
+
+impl<'a> Fields<'a> {
+    fn open(doc: &'a Value, what: String) -> Result<Self, String> {
+        match doc {
+            Value::Obj(map) => Ok(Fields { map, what }),
+            _ => Err(format!("{what} must be a JSON object")),
+        }
+    }
+
+    /// Opens `doc` as the object `what` whose keys are all in `known`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a non-object, an unknown key, or (when `known`
+    /// lists `schema_version`) a version other than 1.
+    pub fn new(doc: &'a Value, what: impl Into<String>, known: &[&str]) -> Result<Self, String> {
+        let f = Fields::open(doc, what.into())?;
+        if let Some(key) = f.map.keys().find(|k| !known.contains(&k.as_str())) {
+            return Err(format!("unknown field `{key}` in {}", f.what));
+        }
+        if known.contains(&"schema_version") && f.uint("schema_version") != Ok(1) {
+            return Err(format!("{} must carry `\"schema_version\": 1`", f.what));
+        }
+        Ok(f)
+    }
+
+    /// Whether `key` is present (with any value).
+    pub fn has(&self, key: &str) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// The optional field `key`, unless it is absent or `null`.
+    pub fn opt(&self, key: &str) -> Option<&'a Value> {
+        self.map.get(key).filter(|v| **v != Value::Null)
+    }
+
+    /// The raw value of `key`.
+    pub fn field(&self, key: &str) -> Result<&'a Value, String> {
+        self.map
+            .get(key)
+            .ok_or_else(|| format!("missing field `{key}` in {}", self.what))
+    }
+
+    /// `key` converted by `read`; `want` names the accepted values.
+    pub fn read<T>(
+        &self,
+        key: &str,
+        want: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.field(key)?)
+            .ok_or_else(|| format!("field `{key}` in {} must be {want}", self.what))
+    }
+
+    /// The non-empty string `key`.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.read(key, "a non-empty string", |v| {
+            v.as_str().filter(|s| !s.is_empty())
+        })
+    }
+
+    /// `key` as `null` (`None`) or a non-empty string.
+    pub fn str_or_null(&self, key: &str) -> Result<Option<&'a str>, String> {
+        match self.field(key)? {
+            Value::Null => Ok(None),
+            _ => self.str(key).map(Some),
+        }
+    }
+
+    /// The [`whole`] number `key`.
+    pub fn uint(&self, key: &str) -> Result<u64, String> {
+        self.read(key, "a whole number up to 2^53", whole)
+    }
+
+    /// The [`whole`] number `key`, within `[lo, hi]`.
+    pub fn uint_in(&self, key: &str, lo: u64, hi: u64) -> Result<u64, String> {
+        match self.uint(key)? {
+            x if (lo..=hi).contains(&x) => Ok(x),
+            x => Err(format!(
+                "field `{key}` in {} must be in [{lo}, {hi}], got {x}",
+                self.what
+            )),
+        }
+    }
+
+    /// The boolean `key`; when absent it reads as `default`, if given.
+    pub fn bool_or(&self, key: &str, default: Option<bool>) -> Result<bool, String> {
+        match (self.map.get(key), default) {
+            (None, Some(d)) => Ok(d),
+            _ => self.read(key, "a boolean", |v| match v {
+                Value::Bool(b) => Some(*b),
+                _ => None,
+            }),
+        }
+    }
+
+    /// The [`hex_word`] `key`.
+    pub fn hex(&self, key: &str) -> Result<u64, String> {
+        self.read(key, "a 0x-prefixed 16-digit hex string", hex_word)
+    }
+
+    /// The array `key`, each element converted by `read` (`want` names
+    /// the accepted elements).
+    pub fn array<T>(
+        &self,
+        key: &str,
+        want: &str,
+        read: impl Fn(&'a Value) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.read(key, "an array", Value::as_arr)?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                read(v).ok_or_else(|| format!("`{key}[{i}]` in {} must be {want}", self.what))
+            })
+            .collect()
+    }
+}
+
+fn is_cell(v: &Value) -> bool {
+    matches!(v, Value::Num(_) | Value::Str(_))
+}
+
 /// Validates a parsed document against the result-JSON v1 schema.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation.
 pub fn validate_v1(doc: &Value) -> Result<(), String> {
-    let obj = match doc {
-        Value::Obj(m) => m,
-        _ => return Err("document must be a JSON object".into()),
-    };
-    match doc.get("schema_version").and_then(Value::as_f64) {
-        Some(1.0) => {}
-        Some(v) => return Err(format!("schema_version must be 1, got {v}")),
-        None => return Err("missing numeric field `schema_version`".into()),
+    let f = Fields::new(
+        doc,
+        "result-JSON v1 document",
+        &[
+            "schema_version",
+            "name",
+            "title",
+            "engine",
+            "preset",
+            "params",
+            "columns",
+            "rows",
+            "notes",
+            "wall_ms",
+            "steps_per_sec",
+            "runner_class",
+            "recorder",
+        ],
+    )?;
+    for key in ["name", "title", "preset"] {
+        f.str(key)?;
     }
-    for field in ["name", "title", "preset"] {
-        match doc.get(field) {
-            Some(Value::Str(s)) if !s.is_empty() => {}
-            Some(Value::Str(_)) => return Err(format!("field `{field}` must be non-empty")),
-            _ => return Err(format!("missing string field `{field}`")),
-        }
+    f.str_or_null("engine")?;
+    f.read("params", "an object of numbers or strings", |v| match v {
+        Value::Obj(m) => m.values().all(is_cell).then_some(()),
+        _ => None,
+    })?;
+    let columns = f.array("columns", "a string", Value::as_str)?.len();
+    if columns == 0 {
+        return Err("field `columns` must be a non-empty string array".into());
     }
-    match doc.get("engine") {
-        Some(Value::Str(_)) | Some(Value::Null) => {}
-        _ => return Err("field `engine` must be a string or null".into()),
-    }
-    let params = match doc.get("params") {
-        Some(Value::Obj(m)) => m,
-        _ => return Err("field `params` must be an object".into()),
-    };
-    for (k, v) in params {
-        if !matches!(v, Value::Num(_) | Value::Str(_)) {
-            return Err(format!("params entry `{k}` must be a number or string"));
-        }
-    }
-    let columns = match doc.get("columns") {
-        Some(Value::Arr(cols)) if !cols.is_empty() => {
-            for (i, c) in cols.iter().enumerate() {
-                if !matches!(c, Value::Str(_)) {
-                    return Err(format!("columns[{i}] must be a string"));
-                }
-            }
-            cols
-        }
-        _ => return Err("field `columns` must be a non-empty string array".into()),
-    };
-    match doc.get("rows") {
-        Some(Value::Arr(rows)) => {
-            for (i, row) in rows.iter().enumerate() {
-                let cells = row
-                    .as_arr()
-                    .ok_or_else(|| format!("rows[{i}] must be an array"))?;
-                if cells.len() != columns.len() {
-                    return Err(format!(
-                        "rows[{i}] has {} cells but there are {} columns",
-                        cells.len(),
-                        columns.len()
-                    ));
-                }
-                for (j, cell) in cells.iter().enumerate() {
-                    if !matches!(cell, Value::Num(_) | Value::Str(_)) {
-                        return Err(format!("rows[{i}][{j}] must be a number or string"));
-                    }
-                }
-            }
-        }
-        _ => return Err("field `rows` must be an array".into()),
-    }
-    match doc.get("notes") {
-        Some(Value::Arr(notes)) => {
-            for (i, n) in notes.iter().enumerate() {
-                if !matches!(n, Value::Str(_)) {
-                    return Err(format!("notes[{i}] must be a string"));
-                }
-            }
-        }
-        _ => return Err("field `notes` must be an array".into()),
-    }
-    match doc.get("wall_ms").and_then(Value::as_f64) {
-        Some(v) if v >= 0.0 => {}
-        _ => return Err("field `wall_ms` must be a non-negative number".into()),
-    }
-    match doc.get("steps_per_sec") {
-        Some(Value::Null) => {}
-        Some(Value::Num(v)) if *v >= 0.0 => {}
-        _ => return Err("field `steps_per_sec` must be a non-negative number or null".into()),
-    }
-    match doc.get("runner_class") {
-        None | Some(Value::Null) => {}
-        Some(Value::Str(s)) if !s.is_empty() => {}
-        Some(Value::Str(_)) => {
-            return Err("field `runner_class` must be non-empty when a string".into())
-        }
-        _ => return Err("field `runner_class` must be a string or null".into()),
-    }
-    match doc.get("recorder") {
-        Some(Value::Null) | Some(Value::Obj(_)) => {}
-        _ => return Err("field `recorder` must be an object or null".into()),
-    }
-    let known = [
-        "schema_version",
-        "name",
-        "title",
-        "engine",
-        "preset",
-        "params",
-        "columns",
-        "rows",
-        "notes",
-        "wall_ms",
+    let row = format!("an array of {columns} numbers or strings");
+    f.array("rows", &row, |r| {
+        r.as_arr()
+            .filter(|cells| cells.len() == columns && cells.iter().all(is_cell))
+    })?;
+    f.array("notes", "a string", Value::as_str)?;
+    f.read("wall_ms", "a non-negative number", |v| {
+        v.as_f64().filter(|x| *x >= 0.0)
+    })?;
+    f.read(
         "steps_per_sec",
-        "runner_class",
-        "recorder",
-    ];
-    for key in obj.keys() {
-        if !known.contains(&key.as_str()) {
-            return Err(format!("unknown field `{key}` (schema drift?)"));
-        }
+        "a non-negative number or null",
+        |v| match v {
+            Value::Null => Some(()),
+            _ => v.as_f64().filter(|x| *x >= 0.0).map(drop),
+        },
+    )?;
+    if f.has("runner_class") {
+        f.str_or_null("runner_class")?;
     }
+    f.read("recorder", "an object or null", |v| {
+        matches!(v, Value::Obj(_) | Value::Null).then_some(())
+    })?;
     Ok(())
 }
 

@@ -38,11 +38,9 @@ pub struct Csr {
     uniform_degree: usize,
     num_edges: usize,
     name: String,
-    /// The layout reported by [`Topology::preferred_partition`]. CSR
-    /// lowerings default to contiguous ranges (right for geometric
-    /// numberings and community-contiguous SBMs); samples whose numbering
-    /// carries no locality can override via
-    /// [`with_preferred_partition`](Csr::with_preferred_partition).
+    /// The layout reported by [`Topology::preferred_partition`]: the
+    /// source topology's preference (contiguous ranges for builder graphs,
+    /// right for geometric numberings and community-contiguous SBMs).
     preferred: crate::PartitionKind,
 }
 
@@ -101,23 +99,6 @@ impl Csr {
     /// Panics if the graph has more than `u32::MAX` nodes.
     pub fn from_adjacency(adj: &AdjacencyList) -> Self {
         Self::from_topology(adj)
-    }
-
-    /// Overrides the partition layout this graph reports to partitioned
-    /// engines ([`Topology::preferred_partition`]).
-    ///
-    /// The lowering default is the source topology's preference
-    /// (contiguous for builder graphs) — correct whenever the node
-    /// numbering is geometric or community-contiguous, e.g.
-    /// [`stochastic_block_model`](crate::stochastic_block_model) blocks
-    /// aligning with [`Partition`](crate::Partition) contiguous shard
-    /// ranges. Override to [`PartitionKind::Strided`](crate::PartitionKind)
-    /// for samples whose numbering carries no locality, so shard
-    /// sub-populations stay representative of index-patterned initial
-    /// configurations.
-    pub fn with_preferred_partition(mut self, kind: crate::PartitionKind) -> Self {
-        self.preferred = kind;
-        self
     }
 
     /// Sets the display name used in experiment tables.

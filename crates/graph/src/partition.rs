@@ -278,12 +278,6 @@ impl Partition {
     }
 }
 
-/// The partition layout a topology prefers, given its node-numbering
-/// geometry (see [`Topology::preferred_partition`]).
-pub fn preferred_partition_for<T: Topology + ?Sized>(g: &T, shards: usize) -> Partition {
-    Partition::new(g.len(), shards, g.preferred_partition())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,11 +356,11 @@ mod tests {
     #[test]
     fn preferred_partition_follows_topology() {
         assert_eq!(
-            preferred_partition_for(&Complete::new(8), 2).kind(),
+            Complete::new(8).preferred_partition(),
             PartitionKind::Strided
         );
         assert_eq!(
-            preferred_partition_for(&Cycle::new(8), 2).kind(),
+            Cycle::new(8).preferred_partition(),
             PartitionKind::Contiguous
         );
     }

@@ -174,7 +174,7 @@ fn apply_shock(job: &mut Job, shock: &ShockSpec) {
     let mut rng = StdRng::seed_from_u64(
         job.spec
             .seed
-            .wrapping_add(shock.at.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            .wrapping_add(shock.at.wrapping_mul(rand::rngs::GOLDEN)),
     );
     pp_adversary::apply(&inst, &mut *job.engine, &mut rng);
 }

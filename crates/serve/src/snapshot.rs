@@ -19,20 +19,25 @@
 //!
 //! ## Fail-closed validation
 //!
-//! [`SnapshotFile::parse`] rejects, in order: malformed JSON, a wrong
-//! `format`/`schema_version`, **unknown fields at any level** (same rule
-//! as result-JSON v1), field-level type/range violations, a spec that
-//! fails [`JobSpec::from_doc`], and finally a [`checksum`] mismatch over
-//! the whole payload. A truncated, bit-flipped, or hand-edited file is
+//! [`SnapshotFile::parse`] reads every field through the shared
+//! [`Fields`] reader and rejects, in order: malformed JSON, **unknown
+//! fields at any level** (same rule as result-JSON v1), a wrong
+//! `schema_version`/`format`, field-level type/range violations, a spec
+//! that fails [`JobSpec::from_doc`], an engine population other than the
+//! one the spec implies (`spec.n`, or the size a fired resizing shock
+//! leaves), and finally a [`checksum`] mismatch over the whole payload.
+//! A truncated, bit-flipped, hand-edited or hand-crafted file is
 //! therefore an error *before* any engine is built — the server's exit-2
-//! path — never a silently diverging resume. What the checksum cannot see
-//! (a stale-but-internally-consistent file) the engine's own
+//! path — never a panic or a silently diverging resume. What the checksum
+//! cannot see (a stale-but-internally-consistent file) the engine's own
 //! `restore_snapshot` identity checks still reject.
 
-use crate::wire::{check_ident, JobSpec, MAX_EXACT_INT};
-use pp_bench::schema::{parse, Value};
+use crate::wire::{ident, JobSpec};
+use pp_adversary::Shock;
+use pp_bench::schema::{hex_word, parse, whole, Fields};
 use pp_engine::EngineSnapshot;
 use pp_obs::json::quote;
+use rand::rngs::{splitmix64, GOLDEN};
 
 /// The format tag every snapshot file carries.
 pub const FORMAT: &str = "pp-snapshot-v1";
@@ -53,15 +58,8 @@ pub struct SnapshotFile {
     pub engine: EngineSnapshot,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn mix(h: u64, word: u64) -> u64 {
-    splitmix64(h ^ word)
+    splitmix64((h ^ word).wrapping_add(GOLDEN))
 }
 
 fn mix_str(mut h: u64, s: &str) -> u64 {
@@ -103,14 +101,21 @@ fn hex(v: u64) -> String {
     format!("0x{v:016x}")
 }
 
-fn parse_hex(s: &str, what: &str) -> Result<u64, String> {
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("{what} must be a 0x-prefixed hex string, got `{s}`"))?;
-    if digits.len() != 16 {
-        return Err(format!("{what} must have exactly 16 hex digits, got `{s}`"));
+/// The population a capture of `spec` holds: `spec.n`, or the size its
+/// resizing shock leaves once that shock has fired.
+fn population(spec: &JobSpec, shock_applied: bool) -> u64 {
+    let n = spec.n as u64;
+    let fired = spec.shock.as_ref().filter(|_| shock_applied);
+    let inst = fired.and_then(|sh| {
+        Shock::enumerate(spec.n, spec.weights.len())
+            .into_iter()
+            .find(|s| s.label() == sh.kind)
+    });
+    match inst {
+        Some(Shock::AddAgents { count, .. }) => n + count as u64,
+        Some(Shock::RemoveAgents { count }) => n - count as u64,
+        _ => n,
     }
-    u64::from_str_radix(digits, 16).map_err(|e| format!("{what}: bad hex `{s}`: {e}"))
 }
 
 impl SnapshotFile {
@@ -152,129 +157,51 @@ impl SnapshotFile {
     /// snapshot is exactly what [`SnapshotFile::render`] wrote.
     pub fn parse(text: &str) -> Result<SnapshotFile, String> {
         let doc = parse(text).map_err(|e| format!("snapshot file: {e}"))?;
-        let m = match &doc {
-            Value::Obj(m) => m,
-            _ => return Err("snapshot file must be a JSON object".into()),
-        };
-        let known = [
-            "schema_version",
-            "format",
-            "tenant",
-            "job",
-            "shock_applied",
-            "spec",
-            "engine",
-            "checksum",
-        ];
-        for key in m.keys() {
-            if !known.contains(&key.as_str()) {
-                return Err(format!("unknown field `{key}` in snapshot file"));
-            }
-        }
-        match doc.get("schema_version").and_then(Value::as_f64) {
-            Some(1.0) => {}
-            _ => return Err("snapshot file must carry `\"schema_version\": 1`".into()),
-        }
-        match doc.get("format").and_then(Value::as_str) {
-            Some(f) if f == FORMAT => {}
-            Some(f) => return Err(format!("snapshot format must be `{FORMAT}`, got `{f}`")),
-            None => return Err("snapshot file missing string field `format`".into()),
-        }
-        let get_str = |key: &str| -> Result<String, String> {
-            match doc.get(key).and_then(Value::as_str) {
-                Some(s) if !s.is_empty() => Ok(s.to_string()),
-                _ => Err(format!(
-                    "snapshot file field `{key}` must be a non-empty string"
-                )),
-            }
-        };
-        let tenant = get_str("tenant")?;
-        check_ident(&tenant, "snapshot tenant")?;
-        let job = get_str("job")?;
-        check_ident(&job, "snapshot job")?;
-        let shock_applied = match doc.get("shock_applied") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err("snapshot file field `shock_applied` must be a boolean".into()),
-        };
-        let spec = JobSpec::from_doc(
-            doc.get("spec")
-                .ok_or_else(|| "snapshot file missing field `spec`".to_string())?,
-        )
-        .map_err(|e| format!("snapshot spec: {e}"))?;
+        let f = Fields::new(
+            &doc,
+            "snapshot file",
+            &[
+                "schema_version",
+                "format",
+                "tenant",
+                "job",
+                "shock_applied",
+                "spec",
+                "engine",
+                "checksum",
+            ],
+        )?;
+        f.read("format", FORMAT, |v| {
+            (v.as_str() == Some(FORMAT)).then_some(())
+        })?;
+        let tenant = ident(&f, "tenant")?;
+        let job = ident(&f, "job")?;
+        let shock_applied = f.bool_or("shock_applied", None)?;
+        let spec =
+            JobSpec::from_doc(f.field("spec")?).map_err(|e| format!("snapshot spec: {e}"))?;
 
-        let eng = doc
-            .get("engine")
-            .ok_or_else(|| "snapshot file missing field `engine`".to_string())?;
-        let em = match eng {
-            Value::Obj(em) => em,
-            _ => return Err("snapshot file field `engine` must be an object".into()),
-        };
-        let eng_known = [
-            "tier", "protocol", "topology", "n", "clock", "seed", "states", "aux",
-        ];
-        for key in em.keys() {
-            if !eng_known.contains(&key.as_str()) {
-                return Err(format!("unknown field `{key}` in snapshot engine object"));
-            }
-        }
-        let eng_str = |key: &str| -> Result<String, String> {
-            match eng.get(key).and_then(Value::as_str) {
-                Some(s) if !s.is_empty() => Ok(s.to_string()),
-                _ => Err(format!(
-                    "snapshot engine field `{key}` must be a non-empty string"
-                )),
-            }
-        };
-        let n = match eng.get("n").and_then(Value::as_f64) {
-            Some(x) if x >= 0.0 && x.fract() == 0.0 && x <= MAX_EXACT_INT as f64 => x as u64,
-            _ => return Err("snapshot engine field `n` must be a whole number below 2^53".into()),
-        };
-        let clock = parse_hex(&eng_str("clock")?, "snapshot engine field `clock`")?;
-        let seed = parse_hex(&eng_str("seed")?, "snapshot engine field `seed`")?;
-        let states = match eng.get("states") {
-            Some(Value::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    match item.as_f64() {
-                        Some(x) if x >= 0.0 && x.fract() == 0.0 && x <= u32::MAX as f64 => {
-                            out.push(x as u32)
-                        }
-                        _ => {
-                            return Err(format!("snapshot engine states[{i}] must be a u32 number"))
-                        }
-                    }
-                }
-                out
-            }
-            _ => return Err("snapshot engine field `states` must be an array".into()),
-        };
-        let aux = match eng.get("aux") {
-            Some(Value::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    match item.as_str() {
-                        Some(s) => out.push(parse_hex(s, &format!("snapshot engine aux[{i}]"))?),
-                        None => {
-                            return Err(format!("snapshot engine aux[{i}] must be a hex string"))
-                        }
-                    }
-                }
-                out
-            }
-            _ => return Err("snapshot engine field `aux` must be an array".into()),
-        };
+        let e = Fields::new(
+            f.field("engine")?,
+            "snapshot engine object",
+            &[
+                "tier", "protocol", "topology", "n", "clock", "seed", "states", "aux",
+            ],
+        )?;
+        let n = population(&spec, shock_applied);
         let engine = EngineSnapshot {
-            engine: eng_str("tier")?,
-            protocol: eng_str("protocol")?,
-            topology: eng_str("topology")?,
-            n,
-            clock,
-            seed,
-            states,
-            aux,
+            engine: e.str("tier")?.to_string(),
+            protocol: e.str("protocol")?.to_string(),
+            topology: e.str("topology")?.to_string(),
+            n: e.uint_in("n", n, n)?,
+            clock: e.hex("clock")?,
+            seed: e.hex("seed")?,
+            states: e.array("states", "a u32 number", |v| {
+                whole(v).and_then(|x| u32::try_from(x).ok())
+            })?,
+            aux: e.array("aux", "a 0x-prefixed 16-digit hex string", hex_word)?,
         };
 
-        let declared = parse_hex(&get_str("checksum")?, "snapshot file field `checksum`")?;
+        let declared = f.hex("checksum")?;
         let actual = checksum(&tenant, &job, shock_applied, &engine);
         if declared != actual {
             return Err(format!(

@@ -34,10 +34,11 @@
 //! See ARCHITECTURE.md ("pp serve wire format") for one worked example of
 //! every document kind.
 
-use pp_bench::schema::{parse, Value};
+use pp_bench::output::format_f64;
+use pp_bench::runner::ALL_ENGINES;
+use pp_bench::schema::{parse, tag, whole, Fields, Value, MAX_EXACT_INT};
 use pp_bench::EngineKind;
 use pp_obs::json::quote;
-use std::collections::BTreeMap;
 
 /// Shock labels accepted in a job spec — exactly the
 /// [`Shock::label`](pp_adversary::Shock::label) vocabulary.
@@ -52,68 +53,6 @@ pub const SHOCK_KINDS: [&str; 4] = [
 /// real workloads, small enough that a corrupt size field cannot OOM the
 /// server before validation finishes.
 pub const MAX_POPULATION: u64 = 100_000_000;
-
-/// Largest integer a result-JSON number can carry exactly (f64 mantissa);
-/// integer fields beyond this are rejected rather than silently rounded.
-pub const MAX_EXACT_INT: u64 = 1 << 53;
-
-fn as_obj<'a>(v: &'a Value, what: &str) -> Result<&'a BTreeMap<String, Value>, String> {
-    match v {
-        Value::Obj(m) => Ok(m),
-        _ => Err(format!("{what} must be a JSON object")),
-    }
-}
-
-fn no_unknown_fields(
-    m: &BTreeMap<String, Value>,
-    known: &[&str],
-    what: &str,
-) -> Result<(), String> {
-    for key in m.keys() {
-        if !known.contains(&key.as_str()) {
-            return Err(format!("unknown field `{key}` in {what}"));
-        }
-    }
-    Ok(())
-}
-
-fn field<'a>(m: &'a BTreeMap<String, Value>, key: &str, what: &str) -> Result<&'a Value, String> {
-    m.get(key)
-        .ok_or_else(|| format!("missing field `{key}` in {what}"))
-}
-
-fn str_field(m: &BTreeMap<String, Value>, key: &str, what: &str) -> Result<String, String> {
-    match field(m, key, what)? {
-        Value::Str(s) if !s.is_empty() => Ok(s.clone()),
-        _ => Err(format!(
-            "field `{key}` in {what} must be a non-empty string"
-        )),
-    }
-}
-
-fn u64_field(m: &BTreeMap<String, Value>, key: &str, what: &str) -> Result<u64, String> {
-    match field(m, key, what)? {
-        Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_EXACT_INT as f64 => {
-            Ok(*x as u64)
-        }
-        _ => Err(format!(
-            "field `{key}` in {what} must be a non-negative integer below 2^53"
-        )),
-    }
-}
-
-fn bool_field_or(
-    m: &BTreeMap<String, Value>,
-    key: &str,
-    what: &str,
-    default: bool,
-) -> Result<bool, String> {
-    match m.get(key) {
-        None => Ok(default),
-        Some(Value::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("field `{key}` in {what} must be a boolean")),
-    }
-}
 
 /// A tenant or job identifier: non-empty, at most 64 bytes, drawn from
 /// `[a-z0-9_-]` so identifiers can ride in file names (`BENCH_serve_<tenant>_
@@ -133,10 +72,18 @@ pub fn check_ident(s: &str, what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The identifier field `key` ([`check_ident`] rules).
+pub(crate) fn ident(f: &Fields, key: &str) -> Result<String, String> {
+    let s = f.str(key)?;
+    check_ident(s, key)?;
+    Ok(s.to_string())
+}
+
 /// Parses an engine tier name (the [`EngineKind::name`] vocabulary).
 pub fn engine_from_name(s: &str) -> Result<EngineKind, String> {
     EngineKind::from_name(s).ok_or_else(|| {
-        format!("engine must be one of agent, dense, packed, turbo, sharded, vec; got `{s}`")
+        let names = ALL_ENGINES.map(EngineKind::name).join(", ");
+        format!("engine must be one of {names}; got `{s}`")
     })
 }
 
@@ -241,9 +188,9 @@ impl JobSpec {
     /// dense tier demands the complete graph; resizing shocks demand a
     /// resizable topology; `shock.at` must precede `steps`).
     pub fn from_doc(doc: &Value) -> Result<JobSpec, String> {
-        let m = as_obj(doc, "spec")?;
-        no_unknown_fields(
-            m,
+        let f = Fields::new(
+            doc,
+            "spec",
             &[
                 "protocol",
                 "weights",
@@ -258,49 +205,29 @@ impl JobSpec {
                 "init",
                 "shock",
             ],
-            "spec",
         )?;
-        let protocol = str_field(m, "protocol", "spec")?;
+        let protocol = f.str("protocol")?;
         if protocol != "diversification" {
             return Err(format!(
                 "spec.protocol must be `diversification` (the only protocol served), got `{protocol}`"
             ));
         }
-        let weights = match field(m, "weights", "spec")? {
-            Value::Arr(items) if items.len() >= 2 => {
-                let mut w = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    match item.as_f64() {
-                        Some(x) if x.is_finite() && x > 0.0 => w.push(x),
-                        _ => {
-                            return Err(format!(
-                                "spec.weights[{i}] must be a finite positive number"
-                            ))
-                        }
-                    }
-                }
-                w
-            }
-            _ => return Err("spec.weights must be an array of at least 2 numbers".into()),
-        };
-        let n = u64_field(m, "n", "spec")?;
-        if n < 2 * weights.len() as u64 || n > MAX_POPULATION {
-            return Err(format!(
-                "spec.n must be in [2k, {MAX_POPULATION}] (k = {} colours), got {n}",
-                weights.len()
-            ));
+        let weights = f.array("weights", "a finite positive number", |v| {
+            v.as_f64().filter(|x| x.is_finite() && *x > 0.0)
+        })?;
+        if weights.len() < 2 {
+            return Err("spec.weights must be an array of at least 2 numbers".into());
         }
-        let n = n as usize;
-        let topology = match str_field(m, "topology", "spec")?.as_str() {
+        let n = f.uint_in("n", 2 * weights.len() as u64, MAX_POPULATION)? as usize;
+        let topology = match f.str("topology")? {
             "complete" => TopologySpec::Complete,
             "cycle" => TopologySpec::Cycle,
             "torus" => {
-                let rows = u64_field(m, "rows", "spec")? as usize;
-                let cols = u64_field(m, "cols", "spec")? as usize;
-                if rows < 2 || cols < 2 || rows.checked_mul(cols) != Some(n) {
+                let rows = f.uint_in("rows", 2, MAX_EXACT_INT)? as usize;
+                let cols = f.uint_in("cols", 2, MAX_EXACT_INT)? as usize;
+                if rows.checked_mul(cols) != Some(n) {
                     return Err(format!(
-                        "spec torus needs rows >= 2, cols >= 2, rows*cols == n; \
-                         got {rows}x{cols} with n = {n}"
+                        "spec torus needs rows*cols == n; got {rows}x{cols} with n = {n}"
                     ));
                 }
                 TopologySpec::Torus { rows, cols }
@@ -311,25 +238,17 @@ impl JobSpec {
                 ))
             }
         };
-        if !matches!(topology, TopologySpec::Torus { .. })
-            && (m.contains_key("rows") || m.contains_key("cols"))
-        {
+        if !matches!(topology, TopologySpec::Torus { .. }) && (f.has("rows") || f.has("cols")) {
             return Err("spec.rows/cols are only meaningful for the torus topology".into());
         }
-        let engine = engine_from_name(&str_field(m, "engine", "spec")?)?;
+        let engine = engine_from_name(f.str("engine")?)?;
         if engine == EngineKind::Dense && topology != TopologySpec::Complete {
             return Err("the dense tier is count-based and runs only on the complete graph".into());
         }
-        let seed = u64_field(m, "seed", "spec")?;
-        let steps = u64_field(m, "steps", "spec")?;
-        if steps == 0 {
-            return Err("spec.steps must be at least 1".into());
-        }
-        let observe_every = u64_field(m, "observe_every", "spec")?;
-        if observe_every == 0 {
-            return Err("spec.observe_every must be at least 1".into());
-        }
-        let init = match str_field(m, "init", "spec")?.as_str() {
+        let seed = f.uint("seed")?;
+        let steps = f.uint_in("steps", 1, MAX_EXACT_INT)?;
+        let observe_every = f.uint_in("observe_every", 1, MAX_EXACT_INT)?;
+        let init = match f.str("init")? {
             "balanced" => InitKind::Balanced,
             "single_minority" => InitKind::SingleMinority,
             other => {
@@ -338,23 +257,17 @@ impl JobSpec {
                 ))
             }
         };
-        let shock = match m.get("shock") {
-            None | Some(Value::Null) => None,
+        let shock = match f.opt("shock") {
+            None => None,
             Some(v) => {
-                let sm = as_obj(v, "spec.shock")?;
-                no_unknown_fields(sm, &["kind", "at"], "spec.shock")?;
-                let kind = str_field(sm, "kind", "spec.shock")?;
-                if !SHOCK_KINDS.contains(&kind.as_str()) {
+                let sf = Fields::new(v, "spec.shock", &["kind", "at"])?;
+                let kind = sf.str("kind")?;
+                if !SHOCK_KINDS.contains(&kind) {
                     return Err(format!(
                         "spec.shock.kind must be one of {SHOCK_KINDS:?}, got `{kind}`"
                     ));
                 }
-                let at = u64_field(sm, "at", "spec.shock")?;
-                if at == 0 || at >= steps {
-                    return Err(format!(
-                        "spec.shock.at must be in [1, steps); got {at} with steps = {steps}"
-                    ));
-                }
+                let at = sf.uint_in("at", 1, steps - 1)?;
                 let resizes = kind == "add_agents" || kind == "remove_agents";
                 if resizes && !topology.supports_resize() {
                     return Err(format!(
@@ -363,7 +276,10 @@ impl JobSpec {
                         topology.kind()
                     ));
                 }
-                Some(ShockSpec { kind, at })
+                Some(ShockSpec {
+                    kind: kind.to_string(),
+                    at,
+                })
             }
         };
         Ok(JobSpec {
@@ -383,7 +299,7 @@ impl JobSpec {
     /// [`JobSpec::from_doc`] accepts — round-trips bit-exactly, which is
     /// how snapshot files stay self-contained).
     pub fn to_json(&self) -> String {
-        let weights: Vec<String> = self.weights.iter().map(|w| fmt_f64(*w)).collect();
+        let weights: Vec<String> = self.weights.iter().map(|w| format_f64(*w)).collect();
         let mut s = format!(
             "{{\"protocol\":\"diversification\",\"weights\":[{}],\"topology\":{}",
             weights.join(","),
@@ -410,17 +326,6 @@ impl JobSpec {
             )),
         }
         s
-    }
-}
-
-fn fmt_f64(x: f64) -> String {
-    // Rust's shortest round-trip Display; keep a `.0` so the value stays
-    // visibly a float in the document.
-    let s = format!("{x}");
-    if s.contains(['.', 'e', 'E']) {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 
@@ -465,66 +370,45 @@ pub enum Request {
 impl Request {
     /// Validates a parsed request document.
     pub fn from_doc(doc: &Value) -> Result<Request, String> {
-        let m = as_obj(doc, "request")?;
-        match doc.get("schema_version").and_then(Value::as_f64) {
-            Some(1.0) => {}
-            _ => return Err("request must carry `\"schema_version\": 1`".into()),
-        }
-        let op = str_field(m, "op", "request")?;
-        match op.as_str() {
-            "submit" => {
-                no_unknown_fields(
-                    m,
-                    &["schema_version", "op", "tenant", "job", "spec"],
-                    "submit request",
-                )?;
-                let tenant = str_field(m, "tenant", "submit request")?;
-                check_ident(&tenant, "tenant")?;
-                let job = str_field(m, "job", "submit request")?;
-                check_ident(&job, "job")?;
-                let spec = JobSpec::from_doc(field(m, "spec", "submit request")?)?;
-                Ok(Request::Submit { tenant, job, spec })
+        let op = tag(doc, "request", "op")?;
+        let known: &[&str] = match op {
+            "submit" => &["schema_version", "op", "tenant", "job", "spec"],
+            "snapshot" => &[
+                "schema_version",
+                "op",
+                "tenant",
+                "job",
+                "path",
+                "at",
+                "stop",
+            ],
+            "resume" => &["schema_version", "op", "path"],
+            "shutdown" => &["schema_version", "op"],
+            other => {
+                return Err(format!(
+                    "op must be submit, snapshot, resume, or shutdown; got `{other}`"
+                ))
             }
-            "snapshot" => {
-                no_unknown_fields(
-                    m,
-                    &[
-                        "schema_version",
-                        "op",
-                        "tenant",
-                        "job",
-                        "path",
-                        "at",
-                        "stop",
-                    ],
-                    "snapshot request",
-                )?;
-                let tenant = str_field(m, "tenant", "snapshot request")?;
-                check_ident(&tenant, "tenant")?;
-                let job = str_field(m, "job", "snapshot request")?;
-                check_ident(&job, "job")?;
-                Ok(Request::Snapshot {
-                    tenant,
-                    job,
-                    path: str_field(m, "path", "snapshot request")?,
-                    at: u64_field(m, "at", "snapshot request")?,
-                    stop: bool_field_or(m, "stop", "snapshot request", false)?,
-                })
-            }
-            "resume" => {
-                no_unknown_fields(m, &["schema_version", "op", "path"], "resume request")?;
-                Ok(Request::Resume {
-                    path: str_field(m, "path", "resume request")?,
-                })
-            }
-            "shutdown" => {
-                no_unknown_fields(m, &["schema_version", "op"], "shutdown request")?;
-                Ok(Request::Shutdown)
-            }
-            other => Err(format!(
-                "op must be submit, snapshot, resume, or shutdown; got `{other}`"
-            )),
-        }
+        };
+        let f = Fields::new(doc, format!("{op} request"), known)?;
+        Ok(match op {
+            "submit" => Request::Submit {
+                tenant: ident(&f, "tenant")?,
+                job: ident(&f, "job")?,
+                spec: JobSpec::from_doc(f.field("spec")?)?,
+            },
+            "snapshot" => Request::Snapshot {
+                tenant: ident(&f, "tenant")?,
+                job: ident(&f, "job")?,
+                path: f.str("path")?.to_string(),
+                at: f.uint("at")?,
+                stop: f.bool_or("stop", Some(false))?,
+            },
+            "resume" => Request::Resume {
+                path: f.str("path")?.to_string(),
+            },
+            _ => Request::Shutdown,
+        })
     }
 
     /// Parses and validates one request line.
@@ -761,156 +645,66 @@ impl Event {
 /// shape — the consumer-side mirror of [`Event::render`], used by the
 /// wire tests and the ARCHITECTURE.md worked-example gate.
 pub fn validate_event(doc: &Value) -> Result<(), String> {
-    let m = as_obj(doc, "event")?;
-    match doc.get("schema_version").and_then(Value::as_f64) {
-        Some(1.0) => {}
-        _ => return Err("event must carry `\"schema_version\": 1`".into()),
-    }
-    let kind = str_field(m, "event", "event")?;
-    let base = ["schema_version", "event"];
-    let ident_pair = |m: &BTreeMap<String, Value>| -> Result<(), String> {
-        check_ident(&str_field(m, "tenant", "event")?, "tenant")?;
-        check_ident(&str_field(m, "job", "event")?, "job")
-    };
-    let counts_ok = |m: &BTreeMap<String, Value>| -> Result<(), String> {
-        match m.get("class_counts") {
-            Some(Value::Arr(items)) if !items.is_empty() => {
-                for (i, c) in items.iter().enumerate() {
-                    match c.as_f64() {
-                        Some(x) if x >= 0.0 && x.fract() == 0.0 => {}
-                        _ => return Err(format!("class_counts[{i}] must be a whole number")),
-                    }
-                }
-                Ok(())
-            }
-            _ => Err("event field `class_counts` must be a non-empty array".into()),
-        }
-    };
-    match kind.as_str() {
-        "accepted" => {
-            let known: Vec<&str> = base
-                .iter()
-                .chain(["tenant", "job", "engine", "n", "steps"].iter())
-                .copied()
-                .collect();
-            no_unknown_fields(m, &known, "accepted event")?;
-            ident_pair(m)?;
-            engine_from_name(&str_field(m, "engine", "event")?)?;
-            u64_field(m, "n", "event")?;
-            u64_field(m, "steps", "event")?;
-        }
-        "progress" => {
-            let known: Vec<&str> = base
-                .iter()
-                .chain(
-                    [
-                        "tenant",
-                        "job",
-                        "clock",
-                        "target",
-                        "class_counts",
-                        "tenant_steps",
-                        "total_steps",
-                        "counters",
-                    ]
-                    .iter(),
-                )
-                .copied()
-                .collect();
-            no_unknown_fields(m, &known, "progress event")?;
-            ident_pair(m)?;
-            counts_ok(m)?;
-            for f in ["clock", "target", "tenant_steps", "total_steps"] {
-                u64_field(m, f, "progress event")?;
-            }
-            match field(m, "counters", "progress event")? {
-                Value::Obj(c) => {
-                    for (k, v) in c {
-                        if v.as_f64().is_none() {
-                            return Err(format!("counters entry `{k}` must be a number"));
-                        }
-                    }
-                }
-                _ => return Err("progress event field `counters` must be an object".into()),
-            }
-        }
-        "shock" => {
-            let known: Vec<&str> = base
-                .iter()
-                .chain(["tenant", "job", "kind", "at", "n_after"].iter())
-                .copied()
-                .collect();
-            no_unknown_fields(m, &known, "shock event")?;
-            ident_pair(m)?;
-            let sk = str_field(m, "kind", "event")?;
-            if !SHOCK_KINDS.contains(&sk.as_str()) {
-                return Err(format!("shock event kind `{sk}` is not a shock label"));
-            }
-            u64_field(m, "at", "event")?;
-            u64_field(m, "n_after", "event")?;
-        }
-        "snapshot" => {
-            let known: Vec<&str> = base
-                .iter()
-                .chain(["tenant", "job", "path", "clock", "stopped"].iter())
-                .copied()
-                .collect();
-            no_unknown_fields(m, &known, "snapshot event")?;
-            ident_pair(m)?;
-            str_field(m, "path", "event")?;
-            u64_field(m, "clock", "event")?;
-            bool_field_or(m, "stopped", "snapshot event", false)?;
-        }
-        "resumed" => {
-            let known: Vec<&str> = base
-                .iter()
-                .chain(["tenant", "job", "clock", "target"].iter())
-                .copied()
-                .collect();
-            no_unknown_fields(m, &known, "resumed event")?;
-            ident_pair(m)?;
-            u64_field(m, "clock", "event")?;
-            u64_field(m, "target", "event")?;
-        }
-        "done" => {
-            let known: Vec<&str> = base
-                .iter()
-                .chain(
-                    [
-                        "tenant",
-                        "job",
-                        "clock",
-                        "class_counts",
-                        "tenant_steps",
-                        "total_steps",
-                        "bench",
-                    ]
-                    .iter(),
-                )
-                .copied()
-                .collect();
-            no_unknown_fields(m, &known, "done event")?;
-            ident_pair(m)?;
-            counts_ok(m)?;
-            for f in ["clock", "tenant_steps", "total_steps"] {
-                u64_field(m, f, "done event")?;
-            }
-            match field(m, "bench", "done event")? {
-                Value::Str(_) | Value::Null => {}
-                _ => return Err("done event field `bench` must be a string or null".into()),
-            }
-        }
-        "error" => {
-            let known: Vec<&str> = base.iter().chain(["message"].iter()).copied().collect();
-            no_unknown_fields(m, &known, "error event")?;
-            str_field(m, "message", "event")?;
-        }
-        "shutdown" => {
-            let known: Vec<&str> = base.iter().chain(["completed"].iter()).copied().collect();
-            no_unknown_fields(m, &known, "shutdown event")?;
-            u64_field(m, "completed", "event")?;
-        }
+    let kind = tag(doc, "event", "event")?;
+    let fields: &[&str] = match kind {
+        "accepted" => &["tenant", "job", "engine", "n", "steps"],
+        "progress" => &[
+            "tenant",
+            "job",
+            "clock",
+            "target",
+            "class_counts",
+            "tenant_steps",
+            "total_steps",
+            "counters",
+        ],
+        "shock" => &["tenant", "job", "kind", "at", "n_after"],
+        "snapshot" => &["tenant", "job", "path", "clock", "stopped"],
+        "resumed" => &["tenant", "job", "clock", "target"],
+        "done" => &[
+            "tenant",
+            "job",
+            "clock",
+            "class_counts",
+            "tenant_steps",
+            "total_steps",
+            "bench",
+        ],
+        "error" => &["message"],
+        "shutdown" => &["completed"],
         other => return Err(format!("unknown event kind `{other}`")),
+    };
+    let known: Vec<&str> = ["schema_version", "event"]
+        .iter()
+        .chain(fields)
+        .copied()
+        .collect();
+    let f = Fields::new(doc, format!("{kind} event"), &known)?;
+    // A field name means the same thing in every event that carries it;
+    // every field not named here is a clock or a count.
+    for &key in fields {
+        match key {
+            "tenant" | "job" => ident(&f, key).map(drop),
+            "engine" => engine_from_name(f.str(key)?).map(drop),
+            "kind" => f.read(key, "a shock label", |v| {
+                v.as_str().filter(|k| SHOCK_KINDS.contains(k)).map(drop)
+            }),
+            "path" | "message" => f.str(key).map(drop),
+            "stopped" => f.bool_or(key, Some(false)).map(drop),
+            "bench" => f.str_or_null(key).map(drop),
+            "class_counts" => {
+                if f.array(key, "a whole number", whole)?.is_empty() {
+                    Err(format!("field `{key}` in {kind} event must be non-empty"))
+                } else {
+                    Ok(())
+                }
+            }
+            "counters" => f.read(key, "an object of numbers", |v| match v {
+                Value::Obj(m) => m.values().all(|c| c.as_f64().is_some()).then_some(()),
+                _ => None,
+            }),
+            _ => f.uint(key).map(drop),
+        }?;
     }
     Ok(())
 }

@@ -4,6 +4,7 @@
 
 use pp_bench::schema::{parse, Value};
 use pp_serve::server::{run, Config};
+use pp_serve::snapshot::SnapshotFile;
 use pp_serve::wire::validate_event;
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -372,6 +373,49 @@ fn corrupted_and_truncated_snapshots_are_rejected_with_exit_2() {
     // Missing file: same fail-closed path.
     let (code, _) = drive(&resume_req("/nonexistent/nowhere.ppsnap"), 256);
     assert_eq!(code, 2);
+
+    // Impossible populations behind a correct checksum (re-rendered, so
+    // only the population check can catch them): too small for the
+    // engine, one off the 8x8 torus, and too large to allocate.
+    for n in [1, 65, 1_000_000_000_000] {
+        let mut file = SnapshotFile::parse(&good).unwrap();
+        file.engine.n = n;
+        let path = scratch_file(&format!("population_{n}.ppsnap"));
+        std::fs::write(&path, file.render()).unwrap();
+        let (code, events) = drive(&resume_req(&path.display().to_string()), 256);
+        assert_eq!(code, 2, "engine.n = {n} must exit 2, never build an engine");
+        assert!(events.iter().any(|e| kind(e) == "error"));
+    }
+}
+
+#[test]
+fn a_snapshot_taken_after_a_resizing_shock_resumes() {
+    // add_agents grows the complete graph from 96 to 120 agents before the
+    // snapshot, so the file's engine population differs from `spec.n` and
+    // the parser must derive it from the fired shock.
+    let spec = "{\"protocol\":\"diversification\",\"weights\":[1.0,2.0],\
+                \"topology\":\"complete\",\"n\":96,\"engine\":\"packed\",\"seed\":5,\
+                \"steps\":4000000,\"observe_every\":4000000,\"init\":\"balanced\",\
+                \"shock\":{\"kind\":\"add_agents\",\"at\":1000}}";
+    let snap_path = scratch_file("grown.ppsnap");
+    let snap_str = snap_path.display().to_string();
+    let requests = format!(
+        "{}{{\"schema_version\":1,\"op\":\"snapshot\",\"tenant\":\"g\",\"job\":\"j\",\
+         \"path\":\"{snap_str}\",\"at\":2000,\"stop\":true}}\n",
+        submit("g", "j", spec),
+    );
+    let (code, events) = drive(&requests, 256);
+    assert_eq!(code, 0);
+    let shock = events.iter().find(|e| kind(e) == "shock").unwrap();
+    assert_eq!(u64_of(shock, "n_after"), 120);
+    assert!(events.iter().any(|e| kind(e) == "snapshot"));
+
+    let requests = format!("{{\"schema_version\":1,\"op\":\"resume\",\"path\":\"{snap_str}\"}}\n");
+    let (code, events) = drive(&requests, 4096);
+    assert_eq!(code, 0, "an honest post-shock snapshot must resume");
+    assert!(events.iter().any(|e| kind(e) == "resumed"));
+    let done = events.iter().find(|e| kind(e) == "done").unwrap();
+    assert_eq!(counts_of(done).iter().sum::<u64>(), 120);
 }
 
 #[test]
