@@ -4,7 +4,7 @@
 //! of experiment reports (quick preset by default; set `PP_PRESET=full` for
 //! the EXPERIMENTS.md scales), so the bench log doubles as the reproduction
 //! record. Each experiment id maps to a theorem or figure of the paper —
-//! see DESIGN.md §4.
+//! see the experiment table at the top of EXPERIMENTS.md.
 
 use pp_bench::experiments;
 use pp_bench::Preset;

@@ -1,5 +1,5 @@
 //! `ablations` — knock out one design choice of Eq. (2) at a time (the
-//! choices DESIGN.md §5 calls out) and measure what breaks:
+//! two choices `pp_baselines::ablation` removes) and measure what breaks:
 //!
 //! * **shade-blind adoption** (`AdoptAnyShade`): light agents copy light
 //!   agents too. Measured outcome: the equilibrium is essentially unchanged

@@ -1,4 +1,5 @@
-//! One module per experiment; ids match DESIGN.md §4.
+//! One module per experiment; ids match the experiment table at the top of
+//! EXPERIMENTS.md.
 
 pub mod ablations;
 pub mod adversary;

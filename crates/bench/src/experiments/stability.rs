@@ -78,7 +78,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
     report.note(format!(
         "Theorem 2.5 second half: the window-max deviation shrinks with n ({} -> {}), so the \
          exp(-Omega(delta^2 n/w^3)) exit probability vanishes — the polynomially-long stability \
-         window, exercised at the n^2 scale (DESIGN.md section 3 explains the n^10 -> n^2 reduction).",
+         window, exercised here over min(n^2, 200 n ln n) steps per seed.",
         fmt_f64(first),
         fmt_f64(last)
     ));

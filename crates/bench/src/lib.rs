@@ -5,7 +5,7 @@
 //! Fig. 1 phase timeline. Each experiment here regenerates the quantitative
 //! *shape* of one claim — scaling exponents, concentration widths,
 //! crossovers against baselines — as a plain-text table. The experiment ids
-//! match DESIGN.md §4 and EXPERIMENTS.md:
+//! match the experiment table at the top of EXPERIMENTS.md:
 //!
 //! | id | claim | module |
 //! |----|-------|--------|

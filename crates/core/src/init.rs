@@ -32,8 +32,12 @@ pub fn all_dark_balanced(n: usize, weights: &Weights) -> Vec<AgentState> {
         n >= k,
         "need at least one agent per colour: n = {n}, k = {k}"
     );
-    (0..n)
-        .map(|u| AgentState::dark(Colour::new(u % k)))
+    // A wrapping counter, not `u % k`: a division per agent was most of
+    // the cost of building a large population.
+    (0..k)
+        .cycle()
+        .take(n)
+        .map(|i| AgentState::dark(Colour::new(i)))
         .collect()
 }
 

@@ -242,10 +242,8 @@ impl PackedProtocol for Diversification {
     ) {
         let v = &observed[0];
         let mut soften = [W::ZERO; L];
-        // Hoist the threshold table; clamping the index (a no-op for
-        // valid encodings, which `transition_turbo` checks in debug
-        // builds) keeps the lookup loop free of panic edges.
         let tbl = self.weights().inverse_bits_table();
+        assert!(!tbl.is_empty(), "weight tables are never empty");
         let last = tbl.len() - 1;
         for l in 0..L {
             let i = (me[l].widen() >> 1) as usize;
@@ -490,6 +488,61 @@ mod tests {
                 "lane {l} soften frequency {frac} (expected 1/4)"
             );
         }
+    }
+
+    /// `transition_vec` equals `transition_turbo` lane by lane at the
+    /// soften threshold's edges: every packed `(me, v)` pair, aux low bits
+    /// at `0`, `t − 1`, `t` and `2³² − 1` (with random high bits) for the
+    /// threshold `t = ⌊2³²/wᵢ⌋` of `me`'s colour, including `t = 2³²`
+    /// (`w = 1`, always softens) and `t = 0` (`w = 10¹²`, never softens),
+    /// at both storage widths and `L = 1, 8, 32`.
+    #[test]
+    fn vec_transition_matches_turbo_at_threshold_boundaries() {
+        fn check<W: TurboWord, const L: usize>(p: &Diversification, cases: &[(u32, u32, u64)]) {
+            let mut rng = StdRng::seed_from_u64(L as u64);
+            for chunk in cases.chunks(L) {
+                let case = |l: usize| chunk[l % chunk.len()];
+                let mut me: [W; L] = std::array::from_fn(|l| W::narrow(case(l).0));
+                let v: [W; L] = std::array::from_fn(|l| W::narrow(case(l).1));
+                let aux: [u64; L] = std::array::from_fn(|l| case(l).2);
+                PackedProtocol::transition_vec(p, &mut me, &[v], &aux);
+                for (l, got) in me.iter().enumerate() {
+                    let (m, o, a) = case(l);
+                    let want = PackedProtocol::transition_turbo(p, m, &[o], a, &mut rng);
+                    assert_eq!(got.widen(), want, "me {m} v {o} aux {a:#x}, L = {L}");
+                }
+            }
+        }
+        let w = Weights::new(vec![1.0, 2.0, 4.0, 1e12]).unwrap();
+        assert_eq!(w.inverse_bits(0), 1 << 32);
+        assert_eq!(w.inverse_bits(3), 0);
+        let p = Diversification::new(w.clone());
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut cases = Vec::new();
+        for me in 0..8u32 {
+            let t = w.inverse_bits((me >> 1) as usize);
+            let lows = [0, t.saturating_sub(1), t, u32::MAX as u64];
+            for v in 0..8u32 {
+                for &low in lows.iter().filter(|&&low| low <= u32::MAX as u64) {
+                    cases.push((me, v, (rng.next_u64() << 32) | low));
+                }
+            }
+        }
+        // Dark pairs of one colour at `t − 1` soften and at `t` keep.
+        let dark = |c: u32| (c << 1) | 1;
+        let turbo = |me: u32, aux: u64| {
+            PackedProtocol::transition_turbo(&p, me, &[me], aux, &mut StdRng::seed_from_u64(0))
+        };
+        assert_eq!(turbo(dark(0), u32::MAX as u64), dark(0) & !1);
+        assert_eq!(turbo(dark(2), (1 << 30) - 1), dark(2) & !1);
+        assert_eq!(turbo(dark(2), 1 << 30), dark(2));
+        assert_eq!(turbo(dark(3), 0), dark(3));
+        check::<u8, 1>(&p, &cases);
+        check::<u8, 8>(&p, &cases);
+        check::<u8, 32>(&p, &cases);
+        check::<u32, 1>(&p, &cases);
+        check::<u32, 8>(&p, &cases);
+        check::<u32, 32>(&p, &cases);
     }
 
     #[test]

@@ -286,17 +286,42 @@ pub trait Engine: Send {
 }
 
 /// Tallies packed words into a counts vector sized to the largest
-/// occupied word plus one.
-pub(crate) fn tally_packed(words: impl Iterator<Item = u32>) -> Vec<u64> {
-    let mut counts: Vec<u64> = Vec::new();
-    for w in words {
+/// occupied word plus one. The words may arrive in several slices (a
+/// sharded population is tallied shard by shard, in place); their order
+/// does not matter.
+pub(crate) fn tally_packed<'a, W: TurboWord>(parts: impl IntoIterator<Item = &'a [W]>) -> Vec<u64> {
+    fn bump(counts: &mut Vec<u64>, w: u32) {
         let i = w as usize;
         if i >= counts.len() {
             counts.resize(i + 1, 0);
         }
         counts[i] += 1;
     }
-    counts
+    // Four accumulators fed round-robin. A converging population is made
+    // of long runs of one word, and with a single array each increment
+    // would wait on the store of the one before it.
+    let mut acc: [Vec<u64>; 4] = Default::default();
+    for part in parts {
+        let mut quads = part.chunks_exact(4);
+        for quad in &mut quads {
+            for (counts, &w) in acc.iter_mut().zip(quad) {
+                bump(counts, w.widen());
+            }
+        }
+        for (counts, &w) in acc.iter_mut().zip(quads.remainder()) {
+            bump(counts, w.widen());
+        }
+    }
+    let [mut total, rest @ ..] = acc;
+    for counts in rest {
+        if counts.len() > total.len() {
+            total.resize(counts.len(), 0);
+        }
+        for (t, c) in total.iter_mut().zip(&counts) {
+            *t += c;
+        }
+    }
+    total
 }
 
 /// The panic message for resizing shocks on non-resizable families.
@@ -369,12 +394,13 @@ where
 
     fn class_counts(&self) -> Vec<u64> {
         let protocol = self.protocol();
-        tally_packed(
-            self.population()
-                .states()
-                .iter()
-                .map(|s| PackedProtocol::pack(protocol, s)),
-        )
+        let packed: Vec<u32> = self
+            .population()
+            .states()
+            .iter()
+            .map(|s| PackedProtocol::pack(protocol, s))
+            .collect();
+        tally_packed([packed.as_slice()])
     }
 
     fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {

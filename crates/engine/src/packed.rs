@@ -153,7 +153,10 @@ pub trait PackedProtocol: Send + Sync {
     /// transition bit for bit for every protocol. Override only when the
     /// per-lane rule is branch-free mask arithmetic the compiler can
     /// keep in vector registers — the `pp-stats` equivalence harness
-    /// verifies every override distributionally, per lane.
+    /// verifies every override distributionally, per lane. An override's
+    /// lane loops must carry no panic edge (see
+    /// [`VecSimulator`](crate::VecSimulator)'s `run_batch`): state any
+    /// length a lookup relies on once, before the loop.
     #[inline]
     fn transition_vec<W: TurboWord, const L: usize>(
         &self,
@@ -346,7 +349,7 @@ where
     }
 
     fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states.iter().copied())
+        tally_packed([self.states.as_slice()])
     }
 
     fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {

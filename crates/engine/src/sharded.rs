@@ -263,8 +263,17 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     /// Panics under the same conditions as
     /// [`from_packed`](Self::from_packed).
     pub fn new(protocol: P, topology: T, initial_states: &[P::State], seed: u64) -> Self {
-        let packed = initial_states.iter().map(|s| protocol.pack(s)).collect();
-        Self::from_packed(protocol, topology, packed, seed)
+        let mut sim = Self::unfilled(protocol, topology, initial_states.len(), seed);
+        let ShardedSimulator {
+            protocol,
+            partition,
+            shards,
+            ..
+        } = &mut sim;
+        scatter(partition, shards, initial_states, |s| {
+            W::narrow(protocol.pack(s))
+        });
+        sim
     }
 
     /// Creates a simulator from already-packed (`u32`) states, narrowing
@@ -277,14 +286,20 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     /// [`MAX_PACKED_OBSERVATIONS`], the topology exceeds `u32::MAX` nodes,
     /// or any packed state overflows the storage word `W`.
     pub fn from_packed(protocol: P, topology: T, states: Vec<u32>, seed: u64) -> Self {
-        let n = states.len();
+        let mut sim = Self::unfilled(protocol, topology, states.len(), seed);
+        sim.scatter_packed(&states);
+        sim
+    }
+
+    /// The default-layout simulator for `n` agents with no shard arrays
+    /// yet; both constructors fill them with [`scatter`].
+    fn unfilled(protocol: P, topology: T, n: usize, seed: u64) -> Self {
         check_population::<P>(n, topology.len());
         let kind = topology.preferred_partition();
-        let partition = Partition::new(n, auto_shards(n), kind);
-        let mut sim = ShardedSimulator {
+        ShardedSimulator {
             protocol,
             topology,
-            partition,
+            partition: Partition::new(n, auto_shards(n), kind),
             shards: Vec::new(),
             step: 0,
             seed,
@@ -294,9 +309,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
             last_threads: 1,
             double_count_boundary: false,
             split_off_by_one: false,
-        };
-        sim.scatter(states);
-        sim
+        }
     }
 
     /// Overrides the shard count and block length (in time-steps). The
@@ -323,7 +336,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
             self.topology.preferred_partition(),
         );
         self.block = block;
-        self.scatter(states);
+        self.scatter_packed(&states);
         self
     }
 
@@ -339,21 +352,9 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         self
     }
 
-    /// Distributes packed global states into per-shard local arrays. The
-    /// shards' pending queues stay: callers that change the shard count
-    /// merge them first.
-    fn scatter(&mut self, states: Vec<u32>) {
-        let partition = &self.partition;
-        let mut local: Vec<Vec<W>> = (0..partition.shards())
-            .map(|s| Vec::with_capacity(partition.size(s)))
-            .collect();
-        for (u, p) in states.into_iter().enumerate() {
-            local[partition.shard_of(u)].push(W::narrow(p));
-        }
-        self.shards.resize_with(partition.shards(), Shard::default);
-        for (shard, states) in self.shards.iter_mut().zip(local) {
-            shard.states = states;
-        }
+    /// [`scatter`] of packed global states.
+    fn scatter_packed(&mut self, states: &[u32]) {
+        scatter(&self.partition, &mut self.shards, states, |&p| W::narrow(p));
     }
 
     /// Test-and-verification hook: when enabled, every boundary
@@ -575,7 +576,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         if let Some(snap) = self.block_snap.as_mut() {
             *snap = Arc::new(states.clone());
         }
-        self.scatter(states);
+        self.scatter_packed(&states);
     }
 
     /// A length-changing edit of the packed population: merges pending
@@ -619,7 +620,7 @@ where
     }
 
     fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states_packed().into_iter())
+        tally_packed(self.shards.iter().map(|sh| sh.states.as_slice()))
     }
 
     fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
@@ -751,7 +752,7 @@ where
         self.read_mode = read_mode;
         self.shards.clear();
         self.block_snap = None;
-        self.scatter(snapshot.states.clone());
+        self.scatter_packed(&snapshot.states);
         self.step = snapshot.clock;
         self.seed = snapshot.seed;
         Ok(())
@@ -799,6 +800,34 @@ fn split_counts(
         }
     }
     counts
+}
+
+/// Narrows global-order states into the per-shard local arrays: the
+/// inverse of [`gather`], one range (contiguous) or stride (strided) copy
+/// per shard. The shards' pending queues stay: callers that change the
+/// shard count merge them first.
+fn scatter<S, W: TurboWord>(
+    partition: &Partition,
+    shards: &mut Vec<Shard<W>>,
+    states: &[S],
+    narrow: impl Fn(&S) -> W,
+) {
+    assert_eq!(states.len(), partition.len(), "one state per node");
+    shards.resize_with(partition.shards(), Shard::default);
+    for (s, shard) in shards.iter_mut().enumerate() {
+        shard.states.clear();
+        match partition.kind() {
+            PartitionKind::Contiguous => {
+                shard
+                    .states
+                    .extend(states[partition.range(s)].iter().map(&narrow));
+            }
+            PartitionKind::Strided => {
+                let members = states[s..].iter().step_by(partition.shards());
+                shard.states.extend(members.map(&narrow));
+            }
+        }
+    }
 }
 
 /// Widens every shard's states back into one global packed array.
@@ -1055,6 +1084,63 @@ mod tests {
     fn strided_sim(seed: u64, shards: usize, block: u64) -> ShardedSimulator<Copy1, Complete, u32> {
         let init: Vec<u32> = (0..96).collect();
         ShardedSimulator::new(Copy1, Complete::new(96), &init, seed).with_layout(shards, block)
+    }
+
+    /// The class counts of a plain per-word loop.
+    fn reference_tally(words: &[u32]) -> Vec<u64> {
+        let mut counts = Vec::new();
+        for &w in words {
+            let i = w as usize;
+            if i >= counts.len() {
+                counts.resize(i + 1, 0);
+            }
+            counts[i] += 1;
+        }
+        counts
+    }
+
+    /// Scattering states into the shards and gathering them back returns
+    /// the input, and the in-place shard tally equals the tally of the
+    /// gathered states: for both layouts, uneven shard sizes (103 agents),
+    /// every re-layout, mid-block (pending queues), and after a snapshot
+    /// restore into an engine of another layout.
+    #[test]
+    fn shards_round_trip_and_tally_in_place() {
+        fn check<T: Topology + Clone>(topology: T, kind: PartitionKind) {
+            let n = topology.len() as u32;
+            let init: Vec<u32> = (0..n).map(|u| (u * 37 + u / 5) % 251).collect();
+            let built = ShardedSimulator::<_, _, u8>::new(Copy1, topology.clone(), &init, 5);
+            assert_eq!(built.states_packed(), init);
+            let mut s =
+                ShardedSimulator::<_, _, u8>::from_packed(Copy1, topology.clone(), init.clone(), 5);
+            assert_eq!(s.partition().kind(), kind);
+            assert_eq!(s.states_packed(), init);
+            assert_eq!(s.class_counts(), reference_tally(&init));
+            for shards in [1, 3, 4, 7] {
+                s = s.with_layout(shards, 64);
+                assert_eq!(s.states_packed(), init, "{kind:?}, {shards} shards");
+                assert_eq!(s.class_counts(), reference_tally(&init));
+            }
+            assert_ne!(s.partition().size(0), s.partition().size(6));
+            s.run(50);
+            let mid = s.states_packed();
+            assert_eq!(
+                s.class_counts(),
+                reference_tally(&mid),
+                "{kind:?} mid-block"
+            );
+            let snap = s.save_snapshot();
+            let moved = s.states_packed();
+            assert_eq!(s.class_counts(), reference_tally(&moved));
+            let mut r = ShardedSimulator::<_, _, u8>::from_packed(Copy1, topology, init, 5)
+                .with_layout(2, 32);
+            r.restore_snapshot(&snap).expect("own snapshot restores");
+            assert_eq!(r.partition().shards(), 7);
+            assert_eq!(r.states_packed(), moved, "{kind:?} restored");
+            assert_eq!(r.class_counts(), reference_tally(&moved));
+        }
+        check(Cycle::new(103), PartitionKind::Contiguous);
+        check(Complete::new(103), PartitionKind::Strided);
     }
 
     #[test]

@@ -211,7 +211,7 @@ where
     }
 
     fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states.iter().map(|w| w.widen()))
+        tally_packed([self.states.as_slice()])
     }
 
     fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {

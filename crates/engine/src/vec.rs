@@ -215,6 +215,25 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
     /// a `memset` call per step) and every row index is clamped with a
     /// no-op `min` that lets the compiler discharge the bounds checks.
     ///
+    /// **No lane loop carries a panic edge.** One bounds check or
+    /// `assert!` inside a lane loop keeps the whole loop scalar, so every
+    /// phase is written for the compiler to prove its indices:
+    ///
+    /// * hash: register arithmetic, no loads;
+    /// * partner: the topology's batched sampler (the torus indexes a
+    ///   fixed four-entry candidate array);
+    /// * gather: each row index is clamped below `n·L`, which the row
+    ///   copy's bounds check earlier in the step proves non-empty — that
+    ///   per-step check is what lets the gather go unchecked;
+    /// * threshold + transition: [`PackedProtocol::transition_vec`] keeps
+    ///   the same rule for its own lookups (Diversification states its
+    ///   threshold table non-empty before the lane loop, which turns the
+    ///   `L` lookups into vector gathers).
+    ///
+    /// What remains is one predictable branch per step, outside the lane
+    /// loops: the row slice bound, the threshold table's non-emptiness,
+    /// and the topology's own node check.
+    ///
     /// `inline(never)` for the same code-layout reason as the counter-RNG
     /// step kernel turbo and sharded run (entry-aligned standalone
     /// symbol).
@@ -385,7 +404,7 @@ where
     }
 
     fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.lane_states_packed(0).into_iter())
+        tally_packed([self.lane_states_packed(0).as_slice()])
     }
 
     fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
