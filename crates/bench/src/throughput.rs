@@ -180,7 +180,11 @@ pub fn measure_turbo_graph<T: Topology>(topology: T, seed: u64, budget_secs: f64
 /// Times the graph-partitioned sharded engine on the same workload:
 /// default shard/block layout (one shard per core, capped by population),
 /// worker threads from the shared pool budget, `u8` state storage.
-pub fn measure_sharded_graph<T: Topology>(topology: T, seed: u64, budget_secs: f64) -> Measurement {
+pub fn measure_sharded_graph<T: Topology + 'static>(
+    topology: T,
+    seed: u64,
+    budget_secs: f64,
+) -> Measurement {
     let weights = standard_weights();
     let n = topology.len();
     let states = init::all_dark_balanced(n, &weights);

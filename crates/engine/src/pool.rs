@@ -12,29 +12,31 @@
 //! The fix is one process-wide pool of **worker tokens**, sized to
 //! `available_parallelism() − 1` (the caller's own thread is the `+ 1`;
 //! override with `PP_POOL_THREADS` for experiments). Every parallel
-//! helper [`lease`]s extra workers before spawning, spawns at most what
-//! the lease granted, and returns the tokens when the lease drops. A
+//! helper [`lease`]s extra workers before it starts any, uses at most
+//! what the lease granted, and returns the tokens when the lease drops. A
 //! nested helper finds the tokens already taken and falls back to running
 //! inline on its caller's thread — which is always correct, because every
 //! parallel algorithm in this crate is deterministic and
 //! thread-count-independent by construction.
 //!
-//! Threads that run *borrowed* work are scoped (`std::thread::scope`),
-//! not persistent: the crate is `forbid(unsafe_code)`, and lending the
-//! non-`'static` closures of `replicate`/`ShardedSimulator::run` to a
-//! persistent thread is exactly the lifetime erasure that safe Rust rules
-//! out. What is hoisted for them instead is the spawn *frequency*:
-//! `ShardedSimulator` spawns once per `run()` call and keeps its workers
-//! parked on channels across every block of the run, and `replicate`
-//! spawns once per ensemble — never once per seed or per block. Work that
-//! is *owned* can go to persistent threads: `pp-serve`'s jobs own their
-//! engines (`Box<dyn Engine + Send>`), which move to a worker by value and
-//! back, so the server spawns its round workers once per server run,
-//! parks them between rounds, and still leases tokens here per round —
-//! a round hands work to no more parked workers than its lease grants.
+//! The pool also owns the process's only set of **parked worker
+//! threads**. A call that has owned, `'static` work checks out a [`Crew`]
+//! of up to its lease's worth of them, sends them tasks for as long as the
+//! call lasts, and returns them to the parked set when the crew drops; a
+//! thread is spawned only when no parked worker is free. The sharded
+//! tier's block segments (its protocol, topology and partition sit behind
+//! `Arc`s, its shards move by value) and `pp-serve`'s round slices (each
+//! job owns its engine) are such work. Borrowed work cannot go to a
+//! persistent thread — the crate is `forbid(unsafe_code)`, and lending a
+//! non-`'static` closure to one is exactly the lifetime erasure safe Rust
+//! rules out — so it runs on scoped threads (`std::thread::scope`) instead.
+//! Only [`replicate`](crate::replicate()), whose closures borrow
+//! (`F: Fn + Sync`), still does, spawning once per ensemble.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, OnceLock};
 
 fn budget() -> &'static AtomicUsize {
     static TOKENS: OnceLock<AtomicUsize> = OnceLock::new();
@@ -71,7 +73,7 @@ pub struct Lease {
 
 impl Lease {
     /// Number of *extra* worker threads this lease allows the holder to
-    /// spawn (the holder's own thread comes on top). May be 0 — the
+    /// use (the holder's own thread comes on top). May be 0 — the
     /// single-threaded fallback.
     pub fn workers(&self) -> usize {
         self.granted
@@ -120,6 +122,110 @@ pub fn lease(want: usize) -> Lease {
 /// stale by the time the caller acts on it — use [`lease`] to claim).
 pub fn available_workers() -> usize {
     budget().load(Ordering::Acquire)
+}
+
+/// Owned work for a parked worker.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// The parked workers, each the sender of its thread's task channel. The
+/// set never drops a sender, so a worker's thread lives as long as the
+/// process, blocked on its channel while parked.
+static PARKED: Mutex<Vec<Sender<Task>>> = Mutex::new(Vec::new());
+
+fn spawn_worker() -> Sender<Task> {
+    let (tx, rx) = channel::<Task>();
+    // Detached: every task catches its own panic, so the thread outlives
+    // them all and there is nothing to join.
+    std::thread::Builder::new()
+        .name("pp-pool-worker".into())
+        .spawn(move || rx.into_iter().for_each(|task| task()))
+        .expect("cannot spawn a pool worker thread");
+    pp_obs::obs_count!("pool.workers_spawned", 1);
+    tx
+}
+
+/// Parked workers checked out for the length of one call. Worker `k` is
+/// the same thread for the crew's whole life, so work dealt by index
+/// meets the same thread every time. Dropping the crew waits for the
+/// tasks still running, then parks its workers again, idle.
+pub struct Crew<R> {
+    workers: Vec<Sender<Task>>,
+    done_tx: Sender<std::thread::Result<R>>,
+    done: Receiver<std::thread::Result<R>>,
+    pending: usize,
+}
+
+impl<R: Send + 'static> Crew<R> {
+    /// Checks out `n` workers, the most recently parked first, spawning
+    /// only those the parked set lacks. Takes no tokens: size `n` from a
+    /// [`Lease`] or an explicit thread count.
+    pub fn check_out(n: usize) -> Crew<R> {
+        let mut workers = Vec::with_capacity(n);
+        if n > 0 {
+            let mut parked = PARKED
+                .lock()
+                .expect("the parked set is never left mid-update");
+            let keep = parked.len().saturating_sub(n);
+            workers.extend(parked.drain(keep..));
+        }
+        workers.resize_with(n, spawn_worker);
+        let (done_tx, done) = channel();
+        Crew {
+            workers,
+            done_tx,
+            done,
+            pending: 0,
+        }
+    }
+
+    /// Number of workers checked out; the caller's thread comes on top.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Hands `task` to worker `k` (panics if `k >= self.workers()`). The
+    /// task's captures drop before its result is reported, so no `Arc` it
+    /// cloned is still held once [`recv`](Self::recv) has returned it.
+    pub fn send(&mut self, k: usize, task: impl FnOnce() -> R + Send + 'static) {
+        let done = self.done_tx.clone();
+        self.workers[k]
+            .send(Box::new(move || {
+                // Fails only if the crew is gone, and a crew drains every
+                // pending result before it drops its receiver.
+                let _ = done.send(std::panic::catch_unwind(AssertUnwindSafe(task)));
+            }))
+            .expect("a pool worker outlives its tasks");
+        self.pending += 1;
+    }
+
+    /// Waits for the next task to finish and returns its result, in
+    /// completion order. A task's panic is raised again here with its
+    /// original payload; the worker that ran it lives on.
+    pub fn recv(&mut self) -> R {
+        assert!(self.pending > 0, "no task pending on this crew");
+        self.pending -= 1;
+        match self.done.recv().expect("the crew holds a sender") {
+            Ok(result) => result,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+}
+
+impl<R> Drop for Crew<R> {
+    fn drop(&mut self) {
+        // Tasks still running when the caller unwinds (a sibling's panic
+        // was re-raised) finish first, so the workers park idle and have
+        // dropped the caller's `Arc` clones before it goes on.
+        for _ in 0..self.pending {
+            let _ = self.done.recv();
+        }
+        if !self.workers.is_empty() {
+            // A `Vec` append or drain leaves the set valid at every step,
+            // so a poisoned lock is still sound, and Drop must not panic.
+            let mut parked = PARKED.lock().unwrap_or_else(|e| e.into_inner());
+            parked.append(&mut self.workers);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -77,12 +77,15 @@
 //! # Threads
 //!
 //! `run` leases workers from the crate-wide [`pool`] budget — nested use
-//! (a sharded run inside `replicate`) degrades to single-threaded inline
-//! execution instead of oversubscribing. Workers are spawned **once per
-//! `run` call** and stay parked on channels across all of the run's
-//! blocks; shard state moves to a worker and back each block (two pointer
-//! moves), and the boundary work (the merge, or the next block's
-//! snapshot gather) runs on the calling thread while workers wait.
+//! (a sharded run inside `replicate` or inside a `pp-serve` round)
+//! degrades to single-threaded inline execution instead of
+//! oversubscribing. A call checks out its workers from the pool's parked
+//! set once and keeps them across all of its blocks, so shard `s` meets
+//! the same thread every block; no thread is spawned while a parked one
+//! is free. Each block, a worker gets an owned task: its shards by value
+//! and the block's segment, whose `Arc`s share the protocol, topology and
+//! partition. The boundary work (the merge, or the next block's snapshot
+//! gather) runs on the calling thread while workers wait.
 
 use crate::engine::{
     check_population, check_states_arity, check_states_width, fit_population, tally_packed,
@@ -94,7 +97,6 @@ use crate::snapshot::{EngineSnapshot, SnapshotError};
 use crate::{Engine, PackedProtocol};
 use pp_graph::{Partition, PartitionKind, Topology};
 use rand::rngs::{CounterRng, GOLDEN};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
 /// The stream tag of the per-block count-split draw
@@ -169,9 +171,6 @@ impl<W> Default for Shard<W> {
 /// with its index.
 type ShardSlot<W> = (usize, Shard<W>);
 
-/// One worker's share of a block segment.
-type Job<'a, W> = (Arc<Segment<'a>>, Vec<ShardSlot<W>>);
-
 /// The graph-partitioned parallel simulator.
 ///
 /// Same state encoding as [`TurboSimulator`](crate::TurboSimulator) —
@@ -217,9 +216,13 @@ type Job<'a, W> = (Arc<Segment<'a>>, Vec<ShardSlot<W>>);
 /// ```
 #[derive(Debug)]
 pub struct ShardedSimulator<P: PackedProtocol, T: Topology, W: TurboWord = u32> {
-    protocol: P,
-    topology: T,
-    partition: Partition,
+    // Shared with the block tasks a call sends to pool workers; every task
+    // drops its clones before it reports done, so the simulator holds the
+    // only references between calls (a resize's `Arc::get_mut` relies on
+    // that).
+    protocol: Arc<P>,
+    topology: Arc<T>,
+    partition: Arc<Partition>,
     shards: Vec<Shard<W>>,
     step: u64,
     seed: u64,
@@ -244,8 +247,8 @@ fn auto_shards(n: usize) -> usize {
 
 /// Default block length: short enough that the boundary-reordering (or
 /// snapshot-staleness) window stays well under a parallel round, long
-/// enough to amortise the per-block hand-off (two channel moves per
-/// shard) and boundary work.
+/// enough to amortise the per-block hand-off (one task and one reply per
+/// worker) and boundary work.
 fn auto_block(n: usize) -> u64 {
     (n as u64 / 16).clamp(256, 16384)
 }
@@ -297,9 +300,9 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         check_population::<P>(n, topology.len());
         let kind = topology.preferred_partition();
         ShardedSimulator {
-            protocol,
-            topology,
-            partition: Partition::new(n, auto_shards(n), kind),
+            protocol: Arc::new(protocol),
+            topology: Arc::new(topology),
+            partition: Arc::new(Partition::new(n, auto_shards(n), kind)),
             shards: Vec::new(),
             step: 0,
             seed,
@@ -330,11 +333,11 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         );
         assert_eq!(self.step, 0, "layout must be chosen before stepping");
         let states = self.states_packed();
-        self.partition = Partition::new(
+        self.partition = Arc::new(Partition::new(
             self.partition.len(),
             shards,
             self.topology.preferred_partition(),
-        );
+        ));
         self.block = block;
         self.scatter_packed(&states);
         self
@@ -380,121 +383,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     #[doc(hidden)]
     pub fn inject_split_off_by_one(&mut self, enabled: bool) {
         self.split_off_by_one = enabled;
-    }
-
-    /// [`Engine::run`] with an explicit thread count, bypassing the
-    /// shared pool budget — for benchmarks and for tests of the
-    /// thread-count-independence contract. Capped at the shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_with_threads(&mut self, steps: u64, threads: usize) {
-        assert!(threads >= 1, "need at least the calling thread");
-        let threads = threads.min(self.partition.shards());
-        self.last_threads = threads;
-        let deadline = self.step + steps;
-        // Split borrows so worker closures can hold the protocol,
-        // topology, and partition immutably while the caller moves shard
-        // state in and out of the channels.
-        let ShardedSimulator {
-            protocol,
-            topology,
-            partition,
-            shards,
-            step,
-            seed,
-            block,
-            read_mode,
-            block_snap,
-            double_count_boundary,
-            split_off_by_one,
-            ..
-        } = self;
-        let (protocol, topology, partition) = (&*protocol, &*topology, &*partition);
-        let (seed, block, read_mode) = (*seed, *block, *read_mode);
-        let nshards = partition.shards();
-        std::thread::scope(|scope| {
-            let (done_tx, done_rx) = channel::<ShardSlot<W>>();
-            // Thread 0 is the caller; with one thread nothing is spawned.
-            let job_txs: Vec<Sender<Job<'_, W>>> = (1..threads)
-                .map(|_| {
-                    let (job_tx, job_rx) = channel::<Job<'_, W>>();
-                    let done_tx = done_tx.clone();
-                    scope.spawn(move || {
-                        while let Ok((seg, batch)) = job_rx.recv() {
-                            for (s, mut shard) in batch {
-                                process_segment(protocol, topology, s, &mut shard, &seg);
-                                done_tx
-                                    .send((s, shard))
-                                    .expect("sharded caller hung up mid-run");
-                            }
-                        }
-                    });
-                    job_tx
-                })
-                .collect();
-            // Workers hold the only remaining senders: if one panics and
-            // drops its clone while the caller waits in `done_rx.recv()`,
-            // the channel must close so the caller fails fast instead of
-            // deadlocking on a result that will never arrive.
-            drop(done_tx);
-            while *step < deadline {
-                let index = *step / block;
-                let start = index * block;
-                if *step == start {
-                    pp_obs::obs_count!("sharded.split_blocks", 1);
-                    if read_mode == ReadMode::Snapshot && nshards > 1 {
-                        // Remote reads of this block serve from its start.
-                        pp_obs::obs_count!("sharded.snapshot_blocks", 1);
-                        *block_snap = Some(Arc::new(gather(partition, shards)));
-                    }
-                }
-                let seg = Arc::new(Segment {
-                    partition,
-                    read_mode,
-                    seed,
-                    index,
-                    start,
-                    block,
-                    from: *step,
-                    to: deadline.min(start + block),
-                    counts: split_counts(seed, index, partition, block, *split_off_by_one),
-                    snap: block_snap.clone(),
-                });
-                // Shards are dealt round-robin over threads. Hand remote
-                // batches out first so workers start while the caller does
-                // its own share.
-                let mut sent = 0usize;
-                for (k, job_tx) in job_txs.iter().enumerate() {
-                    let batch: Vec<ShardSlot<W>> = ((k + 1)..nshards)
-                        .step_by(threads)
-                        .map(|s| (s, std::mem::take(&mut shards[s])))
-                        .collect();
-                    sent += batch.len();
-                    job_tx
-                        .send((seg.clone(), batch))
-                        .expect("sharded worker died");
-                }
-                for s in (0..nshards).step_by(threads) {
-                    process_segment(protocol, topology, s, &mut shards[s], &seg);
-                }
-                for _ in 0..sent {
-                    let (s, shard) = done_rx.recv().expect("sharded worker died");
-                    shards[s] = shard;
-                }
-                *step = seg.to;
-                if *step == start + block {
-                    match read_mode {
-                        ReadMode::Defer => {
-                            reconcile(protocol, partition, shards, *double_count_boundary)
-                        }
-                        ReadMode::Snapshot => *block_snap = None,
-                    }
-                }
-            }
-            drop(job_txs); // workers drain and exit; scope joins them
-        });
     }
 
     /// The node partition driving shard decomposition.
@@ -543,7 +431,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     fn merge_pending(&mut self) {
         if self.shards.iter().any(|sh| !sh.queue.is_empty()) {
             reconcile(
-                &self.protocol,
+                &*self.protocol,
                 &self.partition,
                 &mut self.shards,
                 self.double_count_boundary,
@@ -566,12 +454,14 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         let n = states.len();
         if n != self.partition.len() {
             self.merge_pending();
-            fit_population::<P, T>(&mut self.topology, n);
-            self.partition = Partition::new(
+            let topology = Arc::get_mut(&mut self.topology)
+                .expect("block tasks release the topology before a call returns");
+            fit_population::<P, T>(topology, n);
+            self.partition = Arc::new(Partition::new(
                 n,
                 self.partition.shards().min(n),
                 self.topology.preferred_partition(),
-            );
+            ));
         }
         if let Some(snap) = self.block_snap.as_mut() {
             *snap = Arc::new(states.clone());
@@ -589,11 +479,93 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     }
 }
 
+impl<P: PackedProtocol + 'static, T: Topology + 'static, W: TurboWord> ShardedSimulator<P, T, W> {
+    /// [`Engine::run`] with an explicit thread count, bypassing the
+    /// shared pool budget — for benchmarks and for tests of the
+    /// thread-count-independence contract. Capped at the shard count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn run_with_threads(&mut self, steps: u64, threads: usize) {
+        assert!(threads >= 1, "need at least the calling thread");
+        let threads = threads.min(self.partition.shards());
+        self.last_threads = threads;
+        let deadline = self.step + steps;
+        let nshards = self.partition.shards();
+        let (seed, block, read_mode) = (self.seed, self.block, self.read_mode);
+        // Thread 0 is the caller; with one thread the crew is empty.
+        let mut crew = pool::Crew::<Vec<ShardSlot<W>>>::check_out(threads - 1);
+        while self.step < deadline {
+            let index = self.step / block;
+            let start = index * block;
+            if self.step == start {
+                pp_obs::obs_count!("sharded.split_blocks", 1);
+                if read_mode == ReadMode::Snapshot && nshards > 1 {
+                    // Remote reads of this block serve from its start.
+                    pp_obs::obs_count!("sharded.snapshot_blocks", 1);
+                    self.block_snap = Some(Arc::new(gather(&self.partition, &self.shards)));
+                }
+            }
+            let seg = Arc::new(Segment {
+                protocol: Arc::clone(&self.protocol),
+                topology: Arc::clone(&self.topology),
+                partition: Arc::clone(&self.partition),
+                read_mode,
+                seed,
+                index,
+                start,
+                block,
+                from: self.step,
+                to: deadline.min(start + block),
+                counts: split_counts(seed, index, &self.partition, block, self.split_off_by_one),
+                snap: self.block_snap.clone(),
+            });
+            // Shards are dealt round-robin over threads. Hand remote
+            // batches out first so workers start while the caller does
+            // its own share.
+            for k in 0..crew.workers() {
+                let mut batch: Vec<ShardSlot<W>> = ((k + 1)..nshards)
+                    .step_by(threads)
+                    .map(|s| (s, std::mem::take(&mut self.shards[s])))
+                    .collect();
+                let seg = Arc::clone(&seg);
+                crew.send(k, move || {
+                    for (s, shard) in &mut batch {
+                        process_segment(*s, shard, &seg);
+                    }
+                    batch
+                });
+            }
+            for s in (0..nshards).step_by(threads) {
+                process_segment(s, &mut self.shards[s], &seg);
+            }
+            for _ in 0..crew.workers() {
+                for (s, shard) in crew.recv() {
+                    self.shards[s] = shard;
+                }
+            }
+            self.step = seg.to;
+            if self.step == start + block {
+                match read_mode {
+                    ReadMode::Defer => reconcile(
+                        &*self.protocol,
+                        &self.partition,
+                        &mut self.shards,
+                        self.double_count_boundary,
+                    ),
+                    ReadMode::Snapshot => self.block_snap = None,
+                }
+            }
+        }
+    }
+}
+
 impl<P, T, W> Engine for ShardedSimulator<P, T, W>
 where
-    P: PackedProtocol,
+    P: PackedProtocol + 'static,
     P::State: Send + Sync,
-    T: Topology,
+    T: Topology + 'static,
     W: TurboWord,
 {
     type State = P::State;
@@ -743,11 +715,11 @@ where
         // is discarded with the rest of its state. Nothing of the
         // count-split needs restoring; the next block's counts derive from
         // `(seed, block index)` alone.
-        self.partition = Partition::new(
+        self.partition = Arc::new(Partition::new(
             snapshot.states.len(),
             shards as usize,
             self.topology.preferred_partition(),
-        );
+        ));
         self.block = block;
         self.read_mode = read_mode;
         self.shards.clear();
@@ -856,9 +828,11 @@ fn gather<W: TurboWord>(partition: &Partition, shards: &[Shard<W>]) -> Vec<u32> 
 }
 
 /// One block segment — the sub-range `[from, to)` of block `index` — with
-/// the constants shared by every shard that runs it.
-struct Segment<'a> {
-    partition: &'a Partition,
+/// the model and constants shared by every shard that runs it.
+struct Segment<P, T> {
+    protocol: Arc<P>,
+    topology: Arc<T>,
+    partition: Arc<Partition>,
     read_mode: ReadMode,
     seed: u64,
     index: u64,
@@ -878,13 +852,11 @@ struct Segment<'a> {
 /// `[from, to)`: works out the granted window, positions the shard's
 /// stream, runs the step kernel, and tallies the recorder counters.
 fn process_segment<P: PackedProtocol, T: Topology, W: TurboWord>(
-    protocol: &P,
-    topology: &T,
     s: usize,
     shard: &mut Shard<W>,
-    seg: &Segment<'_>,
+    seg: &Segment<P, T>,
 ) {
-    let partition = seg.partition;
+    let partition = &*seg.partition;
     let shards = partition.shards();
     // The granted sub-range: granted steps are spread evenly across the
     // block, so the sub-range [q0, q1) of block positions maps to the
@@ -949,8 +921,8 @@ fn process_segment<P: PackedProtocol, T: Topology, W: TurboWord>(
     // are the queue's growth, and remote reads a plain add.
     let queued = shard.queue.len();
     let snap_reads = kernel(
-        protocol,
-        topology,
+        &*seg.protocol,
+        &*seg.topology,
         owner,
         &mut shard.states,
         &mut shard.queue,
@@ -1106,7 +1078,7 @@ mod tests {
     /// restore into an engine of another layout.
     #[test]
     fn shards_round_trip_and_tally_in_place() {
-        fn check<T: Topology + Clone>(topology: T, kind: PartitionKind) {
+        fn check<T: Topology + Clone + 'static>(topology: T, kind: PartitionKind) {
             let n = topology.len() as u32;
             let init: Vec<u32> = (0..n).map(|u| (u * 37 + u / 5) % 251).collect();
             let built = ShardedSimulator::<_, _, u8>::new(Copy1, topology.clone(), &init, 5);
@@ -1391,9 +1363,8 @@ mod tests {
     #[should_panic]
     fn worker_panic_propagates_instead_of_deadlocking() {
         // Agent 30 lives in shard 1 (96 nodes / 4 contiguous shards),
-        // which two-thread dealing assigns to the spawned worker; its
-        // panic must surface to the caller (the closed done-channel fails
-        // fast) rather than hanging the run.
+        // which two-thread dealing assigns to the pool worker; its panic
+        // must surface to the caller rather than hanging the run.
         let init: Vec<u32> = (0..96).collect();
         let mut sim = ShardedSimulator::<_, _, u32>::new(PanicOn(30), Cycle::new(96), &init, 3)
             .with_layout(4, 32);

@@ -17,12 +17,12 @@
 //!   so a slice costs one virtual call and the per-interaction loops stay
 //!   monomorphized inside whichever tier the job chose. The round's
 //!   slices target pairwise-distinct engines, so they execute in
-//!   parallel: on the control thread and on worker threads that `run`
-//!   spawns once, parks on channels between rounds and joins when it
-//!   returns. Each round leases tokens from the shared [`pool`], hands
-//!   slices to no more workers than the lease grants (all inline when the
-//!   pool is exhausted or the round has one slice), and moves each granted
-//!   job to its worker by value and back. Every observable effect —
+//!   parallel: on the control thread and on the engine [`pool`]'s parked
+//!   worker threads, which are shared with the sharded tier and outlive
+//!   any one `run`. Each round leases tokens from the pool, checks out no
+//!   more parked workers than the lease grants (all inline when the pool
+//!   is exhausted or the round has one slice), and moves each granted job
+//!   to its worker by value and back. Every observable effect —
 //!   charges, shock firings, progress events — is applied after the
 //!   round completes, strictly in grant order, so the event stream is a
 //!   function of the request stream alone, never of the worker count.
@@ -251,7 +251,6 @@ where
     let mut jobs: Vec<Job> = Vec::new();
     let mut pending: Vec<SnapReq> = Vec::new();
     let mut drr = Drr::new(cfg.quantum);
-    let mut workers = Workers::default();
     let mut completed: u64 = 0;
     let mut eof = false;
 
@@ -335,7 +334,7 @@ where
             }
             slices.push((tenant, idx, burst));
         }
-        workers.run_round(&mut jobs, &slices);
+        run_round(&mut jobs, &slices);
 
         for (tenant, idx, burst) in &slices {
             let job = &mut jobs[*idx];
@@ -391,141 +390,58 @@ where
     }
 }
 
-/// A batch of one round's slices handed to one thread: `(job index, job,
-/// burst)` triples, the jobs moved out of the server's list by value.
-type Batch = Vec<(usize, Job, u64)>;
-
-/// One parked round worker. It receives a [`Batch`], runs each job for its
-/// burst, and sends the batch back on a reply channel of its own, so a
-/// worker that dies mid-batch fails the control thread's `recv` instead of
-/// leaving it blocked.
-struct Worker {
-    batches: mpsc::Sender<Batch>,
-    replies: mpsc::Receiver<Batch>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl Worker {
-    fn spawn() -> Worker {
-        let (batches, inbox) = mpsc::channel::<Batch>();
-        let (outbox, replies) = mpsc::channel::<Batch>();
-        let handle = std::thread::Builder::new()
-            .name("pp-serve-worker".into())
-            .spawn(move || {
-                for mut batch in inbox {
-                    for (_, job, burst) in &mut batch {
-                        job.engine.run(*burst);
-                    }
-                    if outbox.send(batch).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("cannot spawn a serve round worker");
-        Worker {
-            batches,
-            replies,
-            handle,
+/// Executes one round's slices — `(tenant, job index, burst)` triples
+/// over pairwise-distinct jobs. The round leases `slices − 1` tokens from
+/// the shared engine pool and checks out that many parked pool workers;
+/// slice `i` in job-index order goes to thread `i % threads` (the control
+/// thread is thread 0), each granted job moving to its worker by value
+/// and back into its place in `jobs`. With no tokens granted (pool
+/// exhausted, or a single-slice round) every slice runs inline. Each job
+/// runs exactly its precomputed burst, so the post-round state is
+/// identical whichever thread executes it. A worker's panic is re-raised
+/// here.
+fn run_round(jobs: &mut Vec<Job>, slices: &[(String, usize, u64)]) {
+    let mut work: Vec<(usize, u64)> = slices
+        .iter()
+        .filter(|(_, _, burst)| *burst > 0)
+        .map(|(_, idx, burst)| (*idx, *burst))
+        .collect();
+    work.sort_unstable();
+    let lease = pool::lease(work.len().saturating_sub(1));
+    if lease.workers() == 0 {
+        for (idx, burst) in work {
+            jobs[idx].engine.run(burst);
         }
+        return;
     }
-}
-
-/// The round workers of one [`run`]. A thread is spawned the first time a
-/// round's lease grants more workers than the set holds — so at most
-/// `pool::parallelism() − 1` per run — stays parked on its channel between
-/// rounds, and is joined when the set drops as `run` returns.
-#[derive(Default)]
-struct Workers {
-    threads: Vec<Worker>,
-}
-
-impl Workers {
-    /// Executes one round's slices — `(tenant, job index, burst)` triples
-    /// over pairwise-distinct jobs. The round leases `slices − 1` tokens
-    /// from the shared engine pool and returns them when it ends; the
-    /// granted slices go, in job-index order and by `i % threads`, to the
-    /// control thread and at most `lease.workers()` parked workers, each
-    /// granted job moving to its worker by value and back into its place
-    /// in `jobs`. With no tokens granted (pool exhausted, or a
-    /// single-slice round) every slice runs inline. Each job runs exactly
-    /// its precomputed burst, so the post-round state is identical
-    /// whichever thread executes it. A worker's panic is re-raised here.
-    fn run_round(&mut self, jobs: &mut Vec<Job>, slices: &[(String, usize, u64)]) {
-        let mut work: Vec<(usize, u64)> = slices
-            .iter()
-            .filter(|(_, _, burst)| *burst > 0)
-            .map(|(_, idx, burst)| (*idx, *burst))
-            .collect();
-        work.sort_unstable();
-        let lease = pool::lease(work.len().saturating_sub(1));
-        if lease.workers() == 0 {
-            for (idx, burst) in work {
-                jobs[idx].engine.run(burst);
-            }
-            return;
-        }
-        pp_obs::counter_add_dyn("serve.parallel_rounds", 1);
-        let helpers = lease.workers();
-        while self.threads.len() < helpers {
-            self.threads.push(Worker::spawn());
-        }
-        // Taking the jobs from the highest index down leaves every lower
-        // index in place.
-        let mut granted: Batch = work
-            .iter()
-            .rev()
-            .map(|&(idx, burst)| (idx, jobs.remove(idx), burst))
-            .collect();
-        granted.reverse();
-        let threads = helpers + 1;
-        let mut batches: Vec<Batch> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, slice) in granted.into_iter().enumerate() {
-            batches[i % threads].push(slice);
-        }
-        let mut batches = batches.into_iter();
-        let mut own = batches.next().expect("threads >= 1");
-        for (worker, batch) in self.threads.iter().zip(batches) {
-            worker
-                .batches
-                .send(batch)
-                .expect("a serve worker only exits when its run ends");
-        }
-        for (_, job, burst) in &mut own {
-            job.engine.run(*burst);
-        }
-        let mut done = own;
-        for w in 0..helpers {
-            match self.threads[w].replies.recv() {
-                Ok(batch) => done.extend(batch),
-                Err(_) => {
-                    // The worker dropped its reply channel mid-batch: it
-                    // panicked. Join it and re-raise on the control thread.
-                    let dead = self.threads.remove(w);
-                    if let Err(payload) = dead.handle.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                    unreachable!("a serve worker exits cleanly only when its run ends");
-                }
-            }
-        }
-        done.sort_unstable_by_key(|(idx, _, _)| *idx);
-        for (idx, job, _) in done {
-            jobs.insert(idx, job);
-        }
+    pp_obs::counter_add_dyn("serve.parallel_rounds", 1);
+    let mut crew = pool::Crew::check_out(lease.workers());
+    let threads = crew.workers() + 1;
+    let mut batches: Vec<Vec<(usize, Job, u64)>> = (0..threads).map(|_| Vec::new()).collect();
+    // Taking the jobs from the highest index down leaves every lower
+    // index in place.
+    for (i, &(idx, burst)) in work.iter().enumerate().rev() {
+        batches[i % threads].push((idx, jobs.remove(idx), burst));
     }
-}
-
-impl Drop for Workers {
-    fn drop(&mut self) {
-        for Worker {
-            batches, handle, ..
-        } in self.threads.drain(..)
-        {
-            // Closing the batch channel ends the worker's loop. A panic it
-            // raised was already re-raised by `run_round`.
-            drop(batches);
-            let _ = handle.join();
-        }
+    let mut batches = batches.into_iter();
+    let mut done = batches.next().expect("threads >= 1");
+    for (k, mut batch) in batches.enumerate() {
+        crew.send(k, move || {
+            for (_, job, burst) in &mut batch {
+                job.engine.run(*burst);
+            }
+            batch
+        });
+    }
+    for (_, job, burst) in &mut done {
+        job.engine.run(*burst);
+    }
+    for _ in 1..threads {
+        done.extend(crew.recv());
+    }
+    done.sort_unstable_by_key(|(idx, _, _)| *idx);
+    for (idx, job, _) in done {
+        jobs.insert(idx, job);
     }
 }
 
@@ -842,10 +758,9 @@ mod tests {
     use super::*;
     use pp_core::AgentState;
     use pp_engine::{Engine, EngineSnapshot, SnapshotError};
-    use std::cell::RefCell;
     use std::collections::HashSet;
     use std::io::Cursor;
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::sync::{Mutex, MutexGuard, OnceLock};
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -931,26 +846,24 @@ mod tests {
 
     static RUN_THREADS: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
 
-    thread_local! {
-        /// A clone of [`live_token`] held by every thread that ran a slice,
-        /// released only when that thread exits.
-        static HELD: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
-    }
-
-    fn live_token() -> &'static Arc<()> {
-        static TOKEN: OnceLock<Arc<()>> = OnceLock::new();
-        TOKEN.get_or_init(|| Arc::new(()))
-    }
-
     fn record_thread() {
         RUN_THREADS
             .lock()
             .unwrap()
             .push(std::thread::current().id());
-        HELD.with(|held| {
-            held.borrow_mut()
-                .get_or_insert_with(|| Arc::clone(live_token()));
-        });
+    }
+
+    /// The threads other than this one that ran a slice since the last
+    /// clear.
+    fn worker_threads() -> HashSet<ThreadId> {
+        let control = std::thread::current().id();
+        RUN_THREADS
+            .lock()
+            .unwrap()
+            .iter()
+            .copied()
+            .filter(|&id| id != control)
+            .collect()
     }
 
     fn recording_engine(spec: &JobSpec, n: usize) -> DivEngine {
@@ -968,11 +881,20 @@ mod tests {
     }
 
     #[test]
-    fn round_workers_are_parked_across_rounds_and_joined_at_return() {
+    fn round_workers_are_parked_pool_workers_reused_across_runs() {
         let _turn = setup();
+        // Park as many pool workers as a round can lease, and learn their
+        // threads: how many slices a round gets depends on when the
+        // reader thread delivers each submit, so a run may use fewer.
+        let mut crew = pool::Crew::check_out(pool::parallelism() - 1);
+        for k in 0..crew.workers() {
+            crew.send(k, || std::thread::current().id());
+        }
+        let parked: HashSet<ThreadId> = (0..crew.workers()).map(|_| crew.recv()).collect();
+        drop(crew);
         let requests = ["a", "b", "c"].map(|t| submit(t, 20 * 256)).concat();
         // Two runs in one process, as the benchmark's traced run makes.
-        for _ in 0..2 {
+        for run in 0..2 {
             RUN_THREADS.lock().unwrap().clear();
             let rounds_before = parallel_rounds();
             let mut events = Vec::new();
@@ -984,30 +906,13 @@ mod tests {
                 recording_engine,
             );
             assert_eq!(code, EXIT_OK, "{}", String::from_utf8_lossy(&events));
-
             let rounds = parallel_rounds() - rounds_before;
             assert!(rounds >= 10, "only {rounds} rounds fanned out");
-            let control = std::thread::current().id();
-            let workers: HashSet<ThreadId> = RUN_THREADS
-                .lock()
-                .unwrap()
-                .iter()
-                .copied()
-                .filter(|&id| id != control)
-                .collect();
+            let workers = worker_threads();
             assert!(!workers.is_empty(), "no slice ran off the control thread");
             assert!(
-                workers.len() < pool::parallelism(),
-                "{} worker threads over {rounds} parallel rounds: respawned, not parked",
-                workers.len()
-            );
-            // Every worker that ran a slice holds a token clone until it
-            // exits; after dropping this thread's own, none may remain.
-            HELD.with(|held| held.borrow_mut().take());
-            assert_eq!(
-                Arc::strong_count(live_token()),
-                1,
-                "a round worker is still alive after run returned"
+                workers.is_subset(&parked),
+                "run {run} started new worker threads: {workers:?} beyond the parked {parked:?}"
             );
         }
     }
@@ -1045,7 +950,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Workers::default().run_round(&mut jobs, &slices);
+                run_round(&mut jobs, &slices);
             }));
             let message = outcome
                 .err()
@@ -1056,5 +961,34 @@ mod tests {
             .recv_timeout(Duration::from_secs(60))
             .expect("the round blocked instead of failing");
         assert_eq!(message.as_deref(), Some("probe engine failed"));
+    }
+
+    #[test]
+    fn a_panicked_round_worker_serves_the_next_round() {
+        let _turn = setup();
+        fn record_then_fail() {
+            record_thread();
+            panic!("probe engine failed");
+        }
+        let slices = vec![("a".to_string(), 0, 1024), ("b".to_string(), 1, 1024)];
+        RUN_THREADS.lock().unwrap().clear();
+        let mut jobs = vec![job("a", record_thread), job("b", record_then_fail)];
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_round(&mut jobs, &slices);
+        }));
+        let payload = outcome.expect_err("the broken slice must fail the round");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"probe engine failed"));
+        let failed = worker_threads();
+        assert_eq!(failed.len(), 1, "slice 1 runs on one worker");
+
+        RUN_THREADS.lock().unwrap().clear();
+        let mut jobs = vec![job("a", record_thread), job("b", record_thread)];
+        run_round(&mut jobs, &slices);
+        assert!(jobs.iter().all(|j| j.engine.step_count() == 1024));
+        assert_eq!(
+            worker_threads(),
+            failed,
+            "the next round must run on the parked worker whose task panicked"
+        );
     }
 }

@@ -125,7 +125,7 @@
 //! |---|---|---|
 //! | `PP_ENGINE` | `pp-bench` dispatch (`EngineKind::from_env`) | selects the tier for every experiment bin: `agent`, `packed`, `turbo`, `sharded`, `vec`, or `dense` (default for complete-graph experiments; per-agent workloads map it to `packed`) |
 //! | `PP_PRESET` | `pp-bench` bins | `quick` (default, seconds) or `full` (paper scales) |
-//! | `PP_POOL_THREADS` | `pp-engine` worker pool | caps the shared thread pool the sharded tier and `replicate` use (default: available parallelism) |
+//! | `PP_POOL_THREADS` | `pp-engine` worker pool | caps the shared thread pool the sharded tier, `replicate` and `pp-serve`'s round workers use (default: available parallelism) |
 //! | `PP_OBS` | `pp-obs` (`init_from_env`) | recorder sink: unset/`off`, `table` (stderr table at exit), `json` (dump embedded in the result envelope), `jsonl` (events streamed to stderr); the recorder is compiled into every build, so any binary records when this is set |
 //! | `PP_BENCH_DIR` | `pp-bench` output writer | directory for `BENCH_<name>.json` envelopes (created if missing; default: working directory) |
 //! | `PP_CHECK_INJECT` | `pp-check` | `1` switches in the deliberately-bugged protocol — the model-check gate must fail closed (exit 3) |

@@ -211,9 +211,9 @@ fn compare<P, T>(
     init: &[P::State],
     obs: &Observed,
 ) where
-    P: PackedProtocol + Clone,
+    P: PackedProtocol + Clone + 'static,
     P::State: Send + Sync,
-    T: Topology + Clone,
+    T: Topology + Clone + 'static,
 {
     let base = cell.cell * 1_000;
     let packed: Vec<Vec<SeedRecord>> = replicate(0..SEEDS, |s| {
@@ -330,7 +330,7 @@ fn compare_on_family<P>(
     init: &[P::State],
     obs: &Observed,
 ) where
-    P: PackedProtocol + Clone,
+    P: PackedProtocol + Clone + 'static,
     P::State: Send + Sync,
 {
     match family {
@@ -447,7 +447,7 @@ pub fn consensus<P>(
     protocol: P,
     hit: fn(&[u32]) -> bool,
 ) where
-    P: PackedProtocol<State = Colour> + Clone,
+    P: PackedProtocol<State = Colour> + Clone + 'static,
 {
     let stat = |wide: &[u32]| {
         vec![

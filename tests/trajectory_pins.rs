@@ -189,9 +189,9 @@ fn sharded<P, T>(
     bursts: &[u64],
 ) -> (Vec<u32>, u64)
 where
-    P: pp_engine::PackedProtocol,
+    P: pp_engine::PackedProtocol + 'static,
     P::State: Send + Sync,
-    T: pp_graph::Topology,
+    T: pp_graph::Topology + 'static,
 {
     let mut sim = ShardedSimulator::<P, T, u8>::new(protocol, topology, init, seed)
         .with_layout(layout.0, layout.1)
