@@ -1,16 +1,4 @@
-//! Regenerates experiment `t11_lower_bound` (see EXPERIMENTS.md).
-//!
-//! Prints the report table and writes it to `BENCH_t11_lower_bound.json` (in
-//! `PP_BENCH_DIR` if set, else the working directory). Run with
-//! `PP_PRESET=full` for the scales recorded in EXPERIMENTS.md; the default
-//! is the quick preset. `PP_ENGINE=agent` forces the per-agent engine for
-//! complete-graph measurements (the default is the dense engine).
-//!
-//! Output follows the result-JSON v1 envelope (EXPERIMENTS.md
-//! "Observability"): exit code 0 on success, 2 on schema error. `PP_OBS`
-//! selects a recorder sink (`table`/`jsonl`/`json`).
+//! Runs the experiment this bin is named after; see `pp_bench::experiments::main`.
 fn main() {
-    pp_bench::output::run_bin("t11_lower_bound", |preset| {
-        pp_bench::experiments::lower_bound::run(preset, 1100)
-    });
+    pp_bench::experiments::main(env!("CARGO_BIN_NAME"))
 }

@@ -1,51 +1,4 @@
-//! t16: the fail-closed model-check gate.
-//!
-//! Unlike the other bins this one owns its `main`: the gate's contract is
-//! process exit code 3 ([`EXIT_GATE_FAILURE`]) with the counterexample in
-//! the written artifact, which [`pp_bench::output::run_bin`] (exit 0/2
-//! only) cannot express. The envelope flow is otherwise identical.
-//!
-//! `PP_CHECK_INJECT=1` additionally runs the known-bad
-//! `BuggedDiversification`; the run must then exit 3 — CI's `check-smoke`
-//! job asserts exactly that.
-
-use pp_bench::output::{self, EXIT_GATE_FAILURE, EXIT_OK, EXIT_SCHEMA_ERROR};
-use std::time::Instant;
-
+//! Runs the experiment this bin is named after; see `pp_bench::experiments::main`.
 fn main() {
-    pp_obs::init_from_env();
-    let preset = pp_bench::Preset::from_env();
-    let inject = std::env::var("PP_CHECK_INJECT")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    let start = Instant::now();
-    let (report, gate_failed) = pp_bench::experiments::model_check::run(preset, inject);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.print();
-    let recorder_json = if pp_obs::sink() == pp_obs::Sink::Json {
-        Some(pp_obs::dump().to_json())
-    } else {
-        None
-    };
-    let json = output::result_json_v1(
-        "t16_model_check",
-        &report,
-        preset.name(),
-        wall_ms,
-        recorder_json.as_deref(),
-    );
-    if let Err(e) = output::validate_json(&json) {
-        eprintln!("error: refusing to write invalid result JSON for `t16_model_check`: {e}");
-        std::process::exit(EXIT_SCHEMA_ERROR);
-    }
-    match output::write_json("t16_model_check", &json) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("warning: could not write BENCH_t16_model_check.json: {err}"),
-    }
-    pp_obs::flush_to_stderr();
-    std::process::exit(if gate_failed {
-        EXIT_GATE_FAILURE
-    } else {
-        EXIT_OK
-    });
+    pp_bench::experiments::main(env!("CARGO_BIN_NAME"))
 }

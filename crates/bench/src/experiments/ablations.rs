@@ -103,6 +103,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
         format!("ablations (n = {n}, weights = (1,3), heavy fair share 0.75)"),
         table,
     );
+    report.set_engine("agent");
     report.note(
         "weight-inverse softening is the decisive ingredient: replacing 1/w_i with a constant \
          collapses the equilibrium to the uniform partition. Dark-only adoption (rule 1) turns \

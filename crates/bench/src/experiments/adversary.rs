@@ -210,6 +210,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         ),
         table,
     );
+    report.set_engine("multi");
     report.note(format!(
         "robust recovery on every tier: {}",
         if all_recovered { "holds" } else { "VIOLATED" }

@@ -121,6 +121,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
         format!("t7_baselines (n = {n}, k = {k}, budget = 20 n^2 steps)"),
         table,
     );
+    report.set_engine("agent");
     report.note(
         "shape check: every consensus protocol loses a colour within the budget; \
          Diversification (and Anti-Voter, the k = 2 special case) never does — \

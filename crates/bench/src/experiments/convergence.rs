@@ -2,7 +2,7 @@
 //! convergence-time bound of Theorem 1.3, swept in `n` and in `w`.
 
 use crate::experiments::Report;
-use crate::runner::{convergence_time, standard_weights, Preset};
+use crate::runner::{convergence_time, standard_weights, EngineKind, Preset};
 use pp_core::Weights;
 use pp_engine::replicate;
 use pp_stats::{loglog_fit, median, table::fmt_f64, Table};
@@ -47,6 +47,7 @@ pub fn run_n_sweep(preset: Preset, base_seed: u64) -> Report {
         format!("t1_convergence_n (weights = (1,1,2,4), delta = {delta})"),
         table,
     );
+    report.set_engine(EngineKind::from_env().name());
     if let Some(fit) = loglog_fit(&xs, &ys) {
         report.note(format!(
             "log-log fit of T against n·ln n: slope = {:.3} (theory: <= 1), R^2 = {:.3}",
@@ -96,6 +97,7 @@ pub fn run_w_sweep(preset: Preset, base_seed: u64) -> Report {
         format!("t2_convergence_w (n = {n}, delta = {delta})"),
         table,
     );
+    report.set_engine(EngineKind::from_env().name());
     if let Some(fit) = loglog_fit(&xs, &ys) {
         report.note(format!(
             "log-log fit of T against w: slope = {:.3} (theory allows up to 2; the w² budget is an upper bound), R^2 = {:.3}",

@@ -102,6 +102,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
         "t8_derandomised (weights = (1,2,4); grey shades 0..=w_i)".to_string(),
         table,
     );
+    report.set_engine("multi");
     report.note(
         "the open problem of §1.2: empirically the derandomised protocol converges within a \
          constant factor of the randomised one and reaches the same fair shares.",

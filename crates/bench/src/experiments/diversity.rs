@@ -55,6 +55,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
         "t3_diversity_error (weights = (1,1,2,4))".to_string(),
         table,
     );
+    report.set_engine(EngineKind::from_env().name());
     if let Some(fit) = loglog_fit(&xs, &ys) {
         report.note(format!(
             "log-log fit of window-max error against n: slope = {:.3} (theory: -1/2 up to log factors), R^2 = {:.3}",

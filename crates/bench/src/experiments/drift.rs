@@ -93,6 +93,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         format!("drift_lemmas (n = {n}, weights = (1,1,2,4), exact conditional drifts)"),
         table,
     );
+    report.set_engine("agent");
     if let Some(fit) = linear_fit(&phi_x, &phi_y) {
         report.note(format!(
             "Lemma 2.9(1), fitted over in-E checkpoints only: E[dPhi] = {:.3} - {:.3}·phi/(n·w); contraction c1 = {:.3} (> 0 required), R^2 = {:.3}",

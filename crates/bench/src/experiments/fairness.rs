@@ -73,6 +73,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         ),
         table,
     );
+    report.set_engine(engine.name());
     if deviations.len() >= 2 {
         let first = deviations[0];
         let last = *deviations.last().expect("non-empty");

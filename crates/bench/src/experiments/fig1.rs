@@ -96,6 +96,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         format!("fig1_phases (n = {n}, w = {w}, seed = {seed})"),
         table,
     );
+    report.set_engine("agent");
 
     // Potential decay series at log-spaced checkpoints — the "curve" of Fig. 1.
     let mut series = Table::new(["step", "phi", "psi", "sigma^2", "E-violation"]);

@@ -62,6 +62,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
         "t11_lower_bound (uniform k = 2; singleton colour to n/4 support)".to_string(),
         table,
     );
+    report.set_engine(EngineKind::from_env().name());
     if let Some(fit) = loglog_fit(&xs, &ys) {
         report.note(format!(
             "log-log fit of spread time against n: slope = {:.3} (Θ(n log n) predicts slightly above 1), R^2 = {:.3}",

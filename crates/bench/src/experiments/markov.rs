@@ -66,6 +66,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         format!("t9_markov (n = {n}, weights = (1,1,2,4), T = {steps} steps, agent 0)"),
         table,
     );
+    report.set_engine("agent");
     report.note(format!(
         "max occupancy deviation from pi: {} (fairness needs o(1))",
         fmt_f64(max_occ_err)

@@ -1,5 +1,6 @@
-//! One module per experiment; ids match the experiment table at the top of
-//! EXPERIMENTS.md.
+//! One module per experiment, and [`ALL`], the one list of the harness's
+//! entry points: its ids match the experiment table at the top of
+//! EXPERIMENTS.md, in the same order.
 
 pub mod ablations;
 pub mod adversary;
@@ -20,9 +21,120 @@ pub mod sustainability;
 pub mod topologies;
 pub mod uniform_partition;
 
-use crate::runner::EngineKind;
+use crate::runner::{EngineKind, Preset};
 use pp_core::{packed::config_stats_from_class_counts, Weights};
 use pp_stats::Table;
+
+/// One entry point of the harness.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// Experiment id: the bin name and the `BENCH_<id>.json` stem.
+    pub id: &'static str,
+    /// Runs the experiment at a preset from its base seed.
+    pub run: fn(Preset) -> Report,
+}
+
+/// Every experiment, in EXPERIMENTS.md table order, each with its base
+/// seed. The bins, the suite bench and the conformance tests all read
+/// this list; no other code lists the experiments.
+pub const ALL: [Experiment; 20] = [
+    Experiment {
+        id: "fig1_phases",
+        run: |p| fig1::run(p, 2024),
+    },
+    Experiment {
+        id: "t1_convergence_n",
+        run: |p| convergence::run_n_sweep(p, 100),
+    },
+    Experiment {
+        id: "t2_convergence_w",
+        run: |p| convergence::run_w_sweep(p, 200),
+    },
+    Experiment {
+        id: "t3_diversity_error",
+        run: |p| diversity::run(p, 300),
+    },
+    Experiment {
+        id: "t4_phase3_error",
+        run: |p| phase3::run(p, 400),
+    },
+    Experiment {
+        id: "t5_fairness",
+        run: |p| fairness::run(p, 500),
+    },
+    Experiment {
+        id: "t6_sustainability",
+        run: |p| sustainability::run(p, 600),
+    },
+    Experiment {
+        id: "t7_baselines",
+        run: |p| baselines::run(p, 700),
+    },
+    Experiment {
+        id: "t8_derandomised",
+        run: |p| derandomised::run(p, 800),
+    },
+    Experiment {
+        id: "t9_markov",
+        run: |p| markov::run(p, 900),
+    },
+    Experiment {
+        id: "t10_topologies",
+        run: |p| topologies::run(p, 1000),
+    },
+    Experiment {
+        id: "t11_lower_bound",
+        run: |p| lower_bound::run(p, 1100),
+    },
+    Experiment {
+        id: "t12_uniform_partition",
+        run: |p| uniform_partition::run(p, 1200),
+    },
+    // t13 shares base seed 1500 with t15, and t14 shares 1400 with
+    // drift_lemmas; re-seeding either would change published tables.
+    Experiment {
+        id: "t13_stability",
+        run: |p| stability::run(p, 1500),
+    },
+    Experiment {
+        id: "t14_adversary",
+        run: |p| adversary::run(p, 1400),
+    },
+    Experiment {
+        id: "t15_sbm_blocks",
+        run: |p| sbm::run(p, 1500),
+    },
+    Experiment {
+        id: "t16_model_check",
+        run: |p| model_check::run(p, model_check::inject_from_env()),
+    },
+    Experiment {
+        id: "ablations",
+        run: |p| ablations::run(p, 1300),
+    },
+    Experiment {
+        id: "drift_lemmas",
+        run: |p| drift::run(p, 1400),
+    },
+    Experiment {
+        id: "throughput",
+        run: |p| crate::throughput::run(p, 1600),
+    },
+];
+
+/// The whole body of every experiment bin: runs the [`ALL`] entry `id`
+/// through [`crate::output::run_bin`], which never returns.
+///
+/// # Panics
+///
+/// Panics if `id` is not in [`ALL`].
+pub fn main(id: &str) -> ! {
+    let experiment = ALL
+        .iter()
+        .find(|e| e.id == id)
+        .unwrap_or_else(|| panic!("`{id}` is not an experiment in pp_bench::experiments::ALL"));
+    crate::output::run_bin(experiment.id, experiment.run)
+}
 
 /// Post-convergence window-max diversity error of the randomised protocol
 /// for an arbitrary weight table (shared by t3/t8/t10/t12), using the
@@ -57,14 +169,17 @@ pub struct Report {
     pub table: Table,
     /// Derived observations (fits, verdicts).
     pub notes: Vec<String>,
-    /// Engine tier the experiment ran on, when one engine is meaningful
-    /// (multi-engine sweeps leave it `None` and name engines per row).
+    /// Engine tier the experiment's rows ran on, or `"multi"` when they
+    /// ran on more than one; the envelope writes `None` as `null`.
     pub engine: Option<String>,
     /// Topology/protocol parameters for the result-JSON `params` object;
     /// values are typed by the writer (numeric strings become numbers).
     pub params: Vec<(String, String)>,
     /// Aggregate step rate, when the experiment measures one (throughput).
     pub steps_per_sec: Option<f64>,
+    /// Whether a gate the experiment enforces failed (t16's model check);
+    /// the bin then exits with [`crate::output::EXIT_GATE_FAILURE`].
+    pub gate_failed: bool,
 }
 
 impl Report {
@@ -77,6 +192,7 @@ impl Report {
             engine: None,
             params: Vec::new(),
             steps_per_sec: None,
+            gate_failed: false,
         }
     }
 

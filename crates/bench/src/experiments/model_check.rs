@@ -8,9 +8,9 @@
 //! and the gate must fail with a counterexample trace — that is the CI
 //! `check-smoke` job's negative control.
 //!
-//! The returned flag is `true` when any check failed (violations found or
-//! exploration truncated); the `t16_model_check` bin turns it into process
-//! exit code 3 ([`crate::output::EXIT_GATE_FAILURE`]).
+//! The report's `gate_failed` is set when any check failed (violations
+//! found or exploration truncated); the `t16_model_check` bin turns it
+//! into process exit code 3 ([`crate::output::EXIT_GATE_FAILURE`]).
 
 use super::Report;
 use crate::runner::Preset;
@@ -69,8 +69,14 @@ fn record(table: &mut Table, notes: &mut Vec<String>, report: &CheckReport, fail
     }
 }
 
-/// Runs the gate; returns the report plus whether any check failed.
-pub fn run(preset: Preset, inject: bool) -> (Report, bool) {
+/// Whether `PP_CHECK_INJECT` asks for the known-bad protocol: set to
+/// anything but empty or `0`.
+pub fn inject_from_env() -> bool {
+    std::env::var("PP_CHECK_INJECT").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Runs the gate; the report's `gate_failed` says whether any check failed.
+pub fn run(preset: Preset, inject: bool) -> Report {
     let weights = Weights::new(vec![1.0, 2.0]).expect("static weight table");
     let k = weights.len();
     let n_complete = preset.pick(10, 12) as u64;
@@ -181,7 +187,8 @@ pub fn run(preset: Preset, inject: bool) -> (Report, bool) {
         .param("colours", k)
         .param("max_states", MAX_STATES)
         .param("inject", inject);
-    (report, failed)
+    report.gate_failed = failed;
+    report
 }
 
 #[cfg(test)]
@@ -190,8 +197,8 @@ mod tests {
 
     #[test]
     fn shipped_protocols_pass_the_gate() {
-        let (report, failed) = run(Preset::Quick, false);
-        assert!(!failed, "notes: {:?}", report.notes);
+        let report = run(Preset::Quick, false);
+        assert!(!report.gate_failed, "notes: {:?}", report.notes);
         // One summary row per check, no violation rows.
         assert_eq!(report.table.rows().len(), 4);
         assert!(report
@@ -203,8 +210,8 @@ mod tests {
 
     #[test]
     fn injected_bug_fails_the_gate_with_a_trace() {
-        let (report, failed) = run(Preset::Quick, true);
-        assert!(failed, "the injected bug must trip the gate");
+        let report = run(Preset::Quick, true);
+        assert!(report.gate_failed, "the injected bug must trip the gate");
         assert!(report
             .table
             .rows()

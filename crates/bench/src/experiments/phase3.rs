@@ -61,6 +61,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
     }
 
     let mut report = Report::new("t4_phase3_error (weights = (1,1,2,4))".to_string(), table);
+    report.set_engine("agent");
     if let Some(fit) = loglog_fit(&xs, &ys) {
         report.note(format!(
             "log-log fit of dark error against n: slope = {:.3} (theory: <= 3/4 up to log factors; \

@@ -155,6 +155,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         ),
         table,
     );
+    report.set_engine(kind.name());
     // A block holds n/4 agents, so its own √n floor is ~2× the global
     // one; within-block diversity "holds" if block errors stay near that
     // scaling rather than drifting to segregation (error ~ fair share).

@@ -73,6 +73,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
         format!("t13_stability (uniform w = 4, delta = {delta}, window = min(n^2, 200 n ln n))"),
         table,
     );
+    report.set_engine("agent");
     let first = worst_by_size.first().copied().unwrap_or(0.0);
     let last = worst_by_size.last().copied().unwrap_or(0.0);
     report.note(format!(

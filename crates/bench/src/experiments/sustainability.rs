@@ -212,6 +212,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         ),
         table,
     );
+    report.set_engine("multi");
     for note in report_notes {
         report.note(note);
     }

@@ -180,6 +180,7 @@ pub fn run(preset: Preset, seed: u64) -> Report {
         ),
         table,
     );
+    report.set_engine(kind.name());
     let cycle_err = rows
         .iter()
         .find(|(name, _)| name == "cycle")

@@ -59,6 +59,7 @@ pub fn run(preset: Preset, base_seed: u64) -> Report {
     }
 
     let mut report = Report::new(format!("t12_uniform_partition (n = {n})"), table);
+    report.set_engine("agent");
     report.note(
         "with unit weights the protocol solves the uniform k-partition problem (Yasumi et al.'s \
          objective) with sqrt(n log n)-scale imbalance — the Eq. (1) guarantee specialised to \

@@ -1,10 +1,11 @@
 //! The result-JSON v1 writer: one machine-readable envelope for every bin.
 //!
-//! Every `t*` binary and the throughput bench go through [`run_bin`], which
-//! runs the experiment, prints the human table, wraps the [`Report`] in the
-//! versioned envelope documented in [`crate::schema`], **self-validates** it
-//! with the hand-rolled parser, and writes `BENCH_<name>.json` (into
-//! `PP_BENCH_DIR`, created if missing, else the working directory).
+//! Every experiment bin goes through [`run_bin`] (via
+//! [`crate::experiments::main`]), which runs the experiment, prints the
+//! human table, wraps the [`Report`] in the versioned envelope documented
+//! in [`crate::schema`], **self-validates** it with the hand-rolled parser,
+//! and writes `BENCH_<name>.json` (into `PP_BENCH_DIR`, created if
+//! missing, else the working directory).
 //!
 //! Exit codes are part of the contract (EXPERIMENTS.md "Observability"):
 //!
@@ -12,7 +13,7 @@
 //! |------|---------|
 //! | 0    | run completed, envelope written (or write warned on read-only dirs) |
 //! | 2    | schema error — the envelope failed v1 validation |
-//! | 3    | gate failure — a regression/A-B gate tripped (`validate_bench`) |
+//! | 3    | gate failure — the report's gate failed (t16) or a regression gate tripped (`validate_bench`) |
 //!
 //! Cells from [`pp_stats::Table`] are strings; the writer types them:
 //! integer-looking cells become JSON integers, finite float-looking cells
@@ -201,7 +202,9 @@ pub fn validate_json(json: &str) -> Result<(), String> {
 /// The standard main body of every experiment bin: validates `PP_OBS`,
 /// reads the preset, runs `f`, prints the report, and writes the
 /// self-validated result-JSON v1 envelope to `BENCH_<name>.json`. Never
-/// returns; the process exits with [`EXIT_OK`] or [`EXIT_SCHEMA_ERROR`].
+/// returns; the process exits with [`EXIT_SCHEMA_ERROR`] if the envelope
+/// is invalid, else with [`EXIT_GATE_FAILURE`] if the report's gate
+/// failed, else with [`EXIT_OK`].
 ///
 /// A failed *write* (e.g. read-only working directory) warns but still
 /// exits 0 — the run itself succeeded, and CI treats the artifact as
@@ -210,14 +213,9 @@ pub fn run_bin(name: &str, f: impl FnOnce(crate::Preset) -> Report) -> ! {
     pp_obs::init_from_env();
     let preset = crate::Preset::from_env();
     let start = Instant::now();
-    let mut report = f(preset);
+    let report = f(preset);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     report.print();
-    if report.engine.is_none() {
-        // Single-engine experiments run on the tier PP_ENGINE selects;
-        // multi-engine sweeps set their own label (e.g. "multi").
-        report.engine = Some(crate::EngineKind::from_env().name().to_string());
-    }
     let recorder_json = if pp_obs::sink() == pp_obs::Sink::Json {
         Some(pp_obs::dump().to_json())
     } else {
@@ -239,7 +237,11 @@ pub fn run_bin(name: &str, f: impl FnOnce(crate::Preset) -> Report) -> ! {
         Err(err) => eprintln!("warning: could not write BENCH_{name}.json: {err}"),
     }
     pp_obs::flush_to_stderr();
-    std::process::exit(EXIT_OK);
+    std::process::exit(if report.gate_failed {
+        EXIT_GATE_FAILURE
+    } else {
+        EXIT_OK
+    });
 }
 
 #[cfg(test)]

@@ -4,37 +4,14 @@
 //!   backslashes, non-ASCII, astral planes) through the writer and back
 //!   through the hand-rolled parser, asserting exact round-trips;
 //! - a schema-conformance pass building an envelope for every experiment
-//!   bin name through the real writer and validating each one.
+//!   of `experiments::ALL` through the real writer and validating each one;
+//! - the bins against the registry, and the `engine` label the bins write.
 
-use pp_bench::experiments::Report;
+use pp_bench::experiments::{Report, ALL};
 use pp_bench::output::{json_cell, result_json_v1, validate_json};
 use pp_bench::schema::{self, Value};
 use pp_stats::Table;
 use proptest::prelude::*;
-
-/// Every `run_bin` name in `crates/bench/src/bin/` — the conformance test
-/// below must cover each envelope CI validates.
-const BIN_NAMES: [&str; 19] = [
-    "fig1_phases",
-    "t1_convergence_n",
-    "t2_convergence_w",
-    "t3_diversity_error",
-    "t4_phase3_error",
-    "t5_fairness",
-    "t6_sustainability",
-    "t7_baselines",
-    "t8_derandomised",
-    "t9_markov",
-    "t10_topologies",
-    "t11_lower_bound",
-    "t12_uniform_partition",
-    "t13_stability",
-    "t14_adversary",
-    "t15_sbm_blocks",
-    "ablations",
-    "drift_lemmas",
-    "throughput",
-];
 
 /// Arbitrary Unicode strings, surrogates excluded by `char::from_u32`.
 fn any_string() -> impl Strategy<Value = String> {
@@ -127,8 +104,8 @@ proptest! {
 fn every_bin_envelope_conforms_to_v1() {
     // The conformance pass: one envelope per experiment bin, through the
     // real writer, with the report shapes the bins actually produce
-    // (engine set or defaulted, params, multi-line notes, typed cells).
-    for (i, name) in BIN_NAMES.iter().enumerate() {
+    // (engine set or null, params, multi-line notes, typed cells).
+    for (i, name) in ALL.iter().map(|e| e.id).enumerate() {
         let mut table = Table::new(["n", "engine", "value"]);
         table.row(["1000".to_string(), "dense".to_string(), "0.5".to_string()]);
         table.row(["-".to_string(), format!("{name} row"), "3.2e9".to_string()]);
@@ -145,13 +122,69 @@ fn every_bin_envelope_conforms_to_v1() {
         validate_json(&json)
             .unwrap_or_else(|e| panic!("bin `{name}` envelope failed v1 validation: {e}"));
         let doc = schema::parse(&json).unwrap();
-        assert_eq!(doc.get("name").and_then(Value::as_str), Some(*name));
+        assert_eq!(doc.get("name").and_then(Value::as_str), Some(name));
         assert_eq!(
             doc.get("schema_version").and_then(Value::as_f64),
             Some(1.0),
             "bin `{name}` must stamp schema_version 1"
         );
     }
+}
+
+#[test]
+fn bins_are_exactly_the_registry() {
+    let mut ids: Vec<&str> = ALL.iter().map(|e| e.id).collect();
+    ids.sort_unstable();
+    let before = ids.len();
+    ids.dedup();
+    assert_eq!(ids.len(), before, "duplicate id in experiments::ALL");
+    let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let mut stems: Vec<String> = std::fs::read_dir(bin_dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter_map(|path| Some(path.file_stem()?.to_str()?.to_string()))
+        .filter(|stem| stem != "validate_bench")
+        .collect();
+    stems.sort_unstable();
+    assert_eq!(
+        stems, ids,
+        "bins other than validate_bench must be the ALL ids"
+    );
+}
+
+#[test]
+fn envelopes_name_the_tier_their_rows_ran_on() {
+    // The label comes from the experiment, never from PP_ENGINE's default
+    // (dense): fig1 runs the agent simulator only, t15 the per-agent tier
+    // nearest dense (packed), and t14 every tier.
+    let dir = std::env::temp_dir().join(format!("pp_bench_engine_label_{}", std::process::id()));
+    for (name, bin, engine) in [
+        ("fig1_phases", env!("CARGO_BIN_EXE_fig1_phases"), "agent"),
+        (
+            "t15_sbm_blocks",
+            env!("CARGO_BIN_EXE_t15_sbm_blocks"),
+            "packed",
+        ),
+        (
+            "t14_adversary",
+            env!("CARGO_BIN_EXE_t14_adversary"),
+            "multi",
+        ),
+    ] {
+        let out = std::process::Command::new(bin)
+            .env_remove("PP_ENGINE")
+            .env_remove("PP_PRESET")
+            .env_remove("PP_OBS")
+            .env("PP_BENCH_DIR", &dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name} exited {}", out.status);
+        let json = std::fs::read_to_string(dir.join(format!("BENCH_{name}.json"))).unwrap();
+        let doc = schema::parse(&json).unwrap();
+        let label = doc.get("engine").and_then(Value::as_str);
+        assert_eq!(label, Some(engine), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -47,6 +47,7 @@
 //!
 //! ```
 //! use std::io::Cursor;
+//! # std::env::set_var("PP_BENCH_DIR", std::env::temp_dir().join("pp_serve_doctest"));
 //!
 //! let requests = concat!(
 //!     "{\"schema_version\":1,\"op\":\"submit\",\"tenant\":\"t\",\"job\":\"demo\",",

@@ -200,6 +200,7 @@ fn serve_counters() -> Vec<(String, u64)> {
 ///
 /// ```
 /// use std::io::Cursor;
+/// # std::env::set_var("PP_BENCH_DIR", std::env::temp_dir().join("pp_serve_doctest"));
 ///
 /// let requests = concat!(
 ///     "{\"schema_version\":1,\"op\":\"submit\",\"tenant\":\"demo\",\"job\":\"j\",",

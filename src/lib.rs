@@ -123,7 +123,7 @@
 //!
 //! | variable | read by | effect |
 //! |---|---|---|
-//! | `PP_ENGINE` | `pp-bench` dispatch (`EngineKind::from_env`) | selects the tier for every experiment bin: `agent`, `packed`, `turbo`, `sharded`, `vec`, or `dense` (default for complete-graph experiments; per-agent workloads map it to `packed`) |
+//! | `PP_ENGINE` | `pp-bench` dispatch (`EngineKind::from_env`) | selects the tier for the experiment bins that read it: `agent`, `packed`, `turbo`, `sharded`, `vec`, or `dense` (default for complete-graph experiments; per-agent workloads map it to `packed`); each envelope's `engine` names the tier that ran |
 //! | `PP_PRESET` | `pp-bench` bins | `quick` (default, seconds) or `full` (paper scales) |
 //! | `PP_POOL_THREADS` | `pp-engine` worker pool | caps the shared thread pool the sharded tier, `replicate` and `pp-serve`'s round workers use (default: available parallelism) |
 //! | `PP_OBS` | `pp-obs` (`init_from_env`) | recorder sink: unset/`off`, `table` (stderr table at exit), `json` (dump embedded in the result envelope), `jsonl` (events streamed to stderr); the recorder is compiled into every build, so any binary records when this is set |
